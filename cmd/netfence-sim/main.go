@@ -66,7 +66,8 @@
 //
 // -bench-json emits a machine-readable benchmark baseline (wall time,
 // events/s and allocs/event per experiment family) for perf-trajectory
-// tracking; the checked-in BENCH_PR5.json was generated this way.
+// tracking; the checked-in BENCH_PR*.json files were generated this
+// way (CI gates on the newest, BENCH_PR10.json).
 // -bench-baseline FILE additionally compares the fresh run against a
 // checked-in baseline and exits non-zero when any suite's wall time
 // regressed more than 25% (the CI bench smoke gate; with -shards it
@@ -146,8 +147,6 @@ func main() {
 
 		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = classic single engine; -1 = one shard per CPU). Applies to -sweep and the -bench-scale large/huge cells; the -exp figures drive the low-level API and stay single-engine")
 
-		pipelineFlag = flag.String("pipeline", "auto", "sharded validation pipeline: auto (on exactly when it pays — sharded NetFence with Passport verification) | on | off. Results are byte-identical in every mode; only wall-clock speed changes")
-
 		serveMode    = flag.Bool("serve", false, "run the simulation service (HTTP job queue + SSE streaming + live control) instead of a batch command")
 		addr         = flag.String("addr", "127.0.0.1:8080", "serve: listen address (use :0 for an ephemeral port)")
 		serveWorkers = flag.Int("serve-workers", 2, "serve: jobs run concurrently")
@@ -178,12 +177,6 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
 	flag.Parse()
-
-	pipe, err := netfence.ParsePipelineMode(*pipelineFlag)
-	if err != nil {
-		fatal(err)
-	}
-	cliPipeline = pipe
 
 	// Profile teardown must survive every exit path — fatal() and the
 	// bench-gate os.Exit(1) bypass defers, so they flush explicitly
@@ -638,7 +631,6 @@ func collusionBaseFor(topoName string, bottleneck int64, durationSec, shards int
 			Workloads: wl,
 			Duration:  netfence.Time(durationSec) * netfence.Second,
 			Shards:    shards, // -1 is netfence.AutoShards
-			Pipeline:  cliPipeline,
 		}
 	}
 }
@@ -831,11 +823,6 @@ func parseUints(csv string) ([]uint64, error) {
 	return out, nil
 }
 
-// cliPipeline is the parsed -pipeline mode, applied to every
-// scenario-driven cell the CLI builds (sweep, search, trace, bench).
-// Explicit A/B bench rows override it per row.
-var cliPipeline netfence.PipelineMode
-
 // benchNames is the fixed experiment-family suite timed by -bench-json:
 // one per major simulation shape (capability channel, collusion,
 // multi-bottleneck, analytic bound, incremental deployment, adaptive
@@ -862,14 +849,10 @@ type benchRow struct {
 	// CandidatesPerSec is set on the adversarial-search row only:
 	// evaluated attack configurations per wall second.
 	CandidatesPerSec float64 `json:"candidates_per_sec,omitempty"`
-	// Pipeline is the sharded validation-pipeline mode of the row's
-	// scenario ("" on figure rows and single-engine cells).
-	Pipeline string `json:"pipeline,omitempty"`
 	// SerializedNs lists each shard's accumulated execute-round wall
 	// nanoseconds on sharded cells — the serialized portion of the
 	// parallel run, whose maximum bounds the achievable speedup. The
-	// validation pipeline shrinks the bottleneck shard's slot by moving
-	// CMAC work into the drain phase. The bench gate ignores it.
+	// bench gate ignores it.
 	SerializedNs []int64 `json:"serialized_ns,omitempty"`
 	// Counters is the suite's metric snapshot (deterministic and
 	// runtime planes merged: drops by reason, per-shard event counts,
@@ -920,18 +903,20 @@ func timeSuite(name, scale string, fn func(m *netfence.Meter) map[string]uint64)
 }
 
 // runBenchJSON times the benchmark suite and emits a JSON baseline, so
-// successive PRs can track the perf trajectory (BENCH_PR5.json is the
-// current checked-in point). With a baseline file it also enforces the
-// <=25% wall-time regression gate, returning false on violation. A suite
-// over budget is retried up to twice and judged on its best time, so a
-// transient co-tenant spike on a shared runner does not fail the build —
-// a genuine regression reproduces on every attempt.
+// successive PRs can track the perf trajectory (the checked-in
+// BENCH_PR*.json files; CI gates on BENCH_PR10.json). With a baseline
+// file it also enforces the <=25% wall-time regression gate, returning
+// false on violation. A suite over budget is retried up to twice and
+// judged on its best time, so a transient co-tenant spike on a shared
+// runner does not fail the build — a genuine regression reproduces on
+// every attempt.
 //
 // shards > 1 adds sharded cells: a small partitioned collusion scenario
 // at the tiny scale (the CI sharded smoke), and a sharded run of the
 // large/huge cell next to its single-engine twin with the
 // events-per-second speedup reported on stderr — the headline number of
-// the parallel executor.
+// the parallel executor. Each sharded tiny/large/huge cell also runs a
+// Passport-enabled twin.
 func runBenchJSON(scale, baselinePath string, shards int) bool {
 	baseline := map[string]float64{}
 	if baselinePath != "" {
@@ -960,17 +945,12 @@ func runBenchJSON(scale, baselinePath string, shards int) bool {
 		}
 		return row
 	}
-	// annotate stamps a sharded cell's row with the realized pipeline
-	// state and the per-shard serialized execute time.
+	// annotate stamps a sharded cell's row with the per-shard
+	// serialized execute time.
 	annotate := func(row *benchRow, sh *netfence.Sharding) {
-		if sh == nil {
-			return
+		if sh != nil {
+			row.SerializedNs = sh.SerializedNanos()
 		}
-		row.Pipeline = "off"
-		if sh.Pipeline {
-			row.Pipeline = "on"
-		}
-		row.SerializedNs = sh.SerializedNanos()
 	}
 	// measureSharded is measure for scenario-driven sharded cells, with
 	// the row annotated from the (last attempt's) Sharding.
@@ -984,41 +964,17 @@ func runBenchJSON(scale, baselinePath string, shards int) bool {
 		annotate(&row, shInfo)
 		return row
 	}
-	// maxSerialized is the slowest shard's serialized seconds — the
-	// Amdahl bound of the row.
-	maxSerialized := func(row benchRow) float64 {
-		var mx int64
-		for _, v := range row.SerializedNs {
-			if v > mx {
-				mx = v
-			}
-		}
-		return float64(mx) / 1e9
-	}
-	// pipelineAB measures a Passport-enabled sharded scenario twice —
-	// pipeline off, then on — and reports the serialized-time reduction.
-	pipelineAB := func(name, scName string, mk func(pipe netfence.PipelineMode, m *netfence.Meter) netfence.Scenario) (off, on benchRow) {
-		off = measureSharded(name+"-nopipe", scName, func(m *netfence.Meter) netfence.Scenario {
-			return mk(netfence.PipelineOff, m)
+	// passportCell measures the Passport-enabled form of a sharded cell
+	// scenario — per-packet source-AS authentication, validated inline.
+	// The row keeps its historical "-nopipe" suffix so the checked-in
+	// baselines still gate it.
+	passportCell := func(name, scName string, mk func(m *netfence.Meter) netfence.Scenario) benchRow {
+		return measureSharded(name+"-nopipe", scName, func(m *netfence.Meter) netfence.Scenario {
+			sc := mk(m)
+			sc.Name = name
+			sc.Defense = netfence.DefenseSpec{Name: "netfence", Config: passportConfig()}
+			return sc
 		})
-		on = measureSharded(name+"-pipe", scName, func(m *netfence.Meter) netfence.Scenario {
-			return mk(netfence.PipelineOn, m)
-		})
-		if off.WallSeconds > 0 && on.WallSeconds > 0 {
-			fmt.Fprintf(os.Stderr,
-				"pipeline A/B (%s): wall %.2fs -> %.2fs (%.2fx); max shard serialized %.2fs -> %.2fs\n",
-				name, off.WallSeconds, on.WallSeconds, off.WallSeconds/on.WallSeconds,
-				maxSerialized(off), maxSerialized(on))
-		}
-		return off, on
-	}
-	// passportVariant derives the Passport-enabled A/B form of a cell
-	// scenario.
-	passportVariant := func(sc netfence.Scenario, name string, pipe netfence.PipelineMode) netfence.Scenario {
-		sc.Name = name
-		sc.Defense = netfence.DefenseSpec{Name: "netfence", Config: passportConfig()}
-		sc.Pipeline = pipe
-		return sc
 	}
 
 	hostname, _ := os.Hostname()
@@ -1052,15 +1008,8 @@ func runBenchJSON(scale, baselinePath string, shards int) bool {
 			n := displayShards(shards)
 			rep.Rows = append(rep.Rows, measureSharded(fmt.Sprintf("collusion-shards%d", n), "tiny",
 				func(m *netfence.Meter) netfence.Scenario { return shardedSmokeScenario(shards, n, m) }))
-			// Pipeline A/B on the Passport-enabled smoke: same cell with
-			// per-packet source-AS authentication, validated inline (off)
-			// vs precomputed at the drain barrier (on).
-			abName := fmt.Sprintf("collusion-passport-shards%d", n)
-			off, on := pipelineAB(abName, "tiny",
-				func(pipe netfence.PipelineMode, m *netfence.Meter) netfence.Scenario {
-					return passportVariant(shardedSmokeScenario(shards, n, m), abName, pipe)
-				})
-			rep.Rows = append(rep.Rows, off, on)
+			rep.Rows = append(rep.Rows, passportCell(fmt.Sprintf("collusion-passport-shards%d", n), "tiny",
+				func(m *netfence.Meter) netfence.Scenario { return shardedSmokeScenario(shards, n, m) }))
 		}
 		// The adversarial-search row: throughput of the optimizer loop
 		// itself, in candidates per second.
@@ -1097,15 +1046,8 @@ func runBenchJSON(scale, baselinePath string, shards int) bool {
 				fmt.Fprintf(os.Stderr, "sharded speedup (%s, %d shards): %.2fx wall, %.2fx events/sec\n",
 					scale, n, single.WallSeconds/sharded.WallSeconds, sharded.EventsPer/single.EventsPer)
 			}
-			// Pipeline A/B on the Passport-enabled cell: the bottleneck
-			// shard's inline CMAC verification is the serialized work the
-			// pipeline moves into the drain phase.
-			abName := fmt.Sprintf("random-as-%s-passport-shards%d", scale, n)
-			off, on := pipelineAB(abName, scale,
-				func(pipe netfence.PipelineMode, m *netfence.Meter) netfence.Scenario {
-					return passportVariant(mkCell(shards, m), abName, pipe)
-				})
-			rep.Rows = append(rep.Rows, off, on)
+			rep.Rows = append(rep.Rows, passportCell(fmt.Sprintf("random-as-%s-passport-shards%d", scale, n), scale,
+				func(m *netfence.Meter) netfence.Scenario { return mkCell(shards, m) }))
 		}
 	case "massive", "massive-smoke":
 		// The million-sender demonstration: fleet aggregation carries a
@@ -1208,14 +1150,12 @@ func shardedSmokeScenario(shards, label int, m *netfence.Meter) netfence.Scenari
 		Duration: 20 * netfence.Second,
 		Warmup:   10 * netfence.Second,
 		Shards:   shards,
-		Pipeline: cliPipeline,
 		Meter:    m,
 	}
 }
 
 // passportConfig is the NetFence configuration with Passport source-AS
-// authentication enabled — the CMAC-heaviest configuration, whose
-// per-packet verification the validation pipeline parallelizes.
+// authentication enabled — the CMAC-heaviest configuration.
 func passportConfig() netfence.Config {
 	cfg := netfence.DefaultConfig()
 	cfg.Passport = true
@@ -1239,8 +1179,8 @@ func runBenchScenarioJSON(sc netfence.Scenario) (map[string]uint64, string) {
 }
 
 // runBenchScenarioFull is runBenchScenarioJSON plus the run's Sharding
-// (nil on the single engine), for rows recording pipeline state and
-// per-shard serialized time.
+// (nil on the single engine), for rows recording per-shard serialized
+// time.
 func runBenchScenarioFull(sc netfence.Scenario) (map[string]uint64, string, *netfence.Sharding) {
 	in, err := sc.Build()
 	if err != nil {
@@ -1312,7 +1252,6 @@ func largeScenario(shards int, m *netfence.Meter) netfence.Scenario {
 		Duration: 20 * netfence.Second,
 		Warmup:   10 * netfence.Second,
 		Shards:   shards,
-		Pipeline: cliPipeline,
 		Meter:    m,
 	}
 }
@@ -1346,7 +1285,6 @@ func hugeScenario(shards int, m *netfence.Meter) netfence.Scenario {
 		Duration: 10 * netfence.Second,
 		Warmup:   5 * netfence.Second,
 		Shards:   shards,
-		Pipeline: cliPipeline,
 		Meter:    m,
 	}
 }
@@ -1421,7 +1359,6 @@ func massiveScenario(name string, p massiveParams, shards int, m *netfence.Meter
 		Duration: p.duration,
 		Warmup:   p.warmup,
 		Shards:   shards,
-		Pipeline: cliPipeline,
 		Meter:    m,
 	}
 }

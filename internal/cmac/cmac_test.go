@@ -3,7 +3,6 @@ package cmac
 import (
 	"bytes"
 	"encoding/hex"
-	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -205,100 +204,5 @@ func benchCMAC(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.Sum(msg)
-	}
-}
-
-// TestCloneIndependence: a clone computes identical tags, and
-// interleaved use of the original and the clone never cross-contaminates
-// — they share only the immutable AES block and subkeys, not the
-// chaining scratch.
-func TestCloneIndependence(t *testing.T) {
-	var key Key
-	key[3] = 0x7f
-	c := New(key)
-	cl := c.Clone()
-	a := []byte("validation pipeline message a")
-	b := []byte("b")
-	if c.Sum(a) != cl.Sum(a) || c.Sum32(b) != cl.Sum32(b) {
-		t.Fatal("clone disagrees with its original")
-	}
-	wantA, wantB := c.Sum(a), c.Sum(b)
-	for i := 0; i < 4; i++ {
-		if cl.Sum(a) != wantA || c.Sum(a) != wantA {
-			t.Fatal("interleaved clone use changed tag for a")
-		}
-		if c.Sum(b) != wantB || cl.Sum(b) != wantB {
-			t.Fatal("interleaved clone use changed tag for b")
-		}
-	}
-}
-
-// TestClonesConcurrent: one clone per goroutine over a shared parent is
-// the pipeline's concurrency contract; run it under -race.
-func TestClonesConcurrent(t *testing.T) {
-	var key Key
-	key[0] = 9
-	parent := New(key)
-	msg := []byte("shared message for all workers")
-	want := parent.Sum(msg)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		cl := parent.Clone()
-		go func() {
-			for i := 0; i < 500; i++ {
-				if cl.Sum(msg) != want {
-					done <- errGoroutine
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-var errGoroutine = errors.New("clone tag diverged under concurrency")
-
-// TestVerifyBatch32 checks the batch verify against per-message Sum32
-// and counts matches, with corrupted tags rejected.
-func TestVerifyBatch32(t *testing.T) {
-	var key Key
-	key[15] = 0xa5
-	c := New(key)
-	msgs := make([][]byte, 10)
-	tags := make([][4]byte, 10)
-	for i := range msgs {
-		msgs[i] = []byte{byte(i), byte(i * 3), byte(i * 7)}
-		tags[i] = c.Sum32(msgs[i])
-	}
-	// Corrupt two tags.
-	tags[2][0] ^= 1
-	tags[7][3] ^= 0x80
-	ok := make([]bool, 10)
-	if n := c.VerifyBatch32(msgs, tags, ok); n != 8 {
-		t.Fatalf("VerifyBatch32 counted %d valid, want 8", n)
-	}
-	for i, o := range ok {
-		want := i != 2 && i != 7
-		if o != want {
-			t.Fatalf("ok[%d] = %v, want %v", i, o, want)
-		}
-	}
-}
-
-// TestVerifyBatch32ZeroAlloc: the batch path chains through the
-// struct-resident scratch like Sum, so it must not allocate either.
-func TestVerifyBatch32ZeroAlloc(t *testing.T) {
-	var key Key
-	c := New(key)
-	msgs := [][]byte{make([]byte, 24), make([]byte, 24)}
-	tags := [][4]byte{c.Sum32(msgs[0]), c.Sum32(msgs[1])}
-	ok := make([]bool, 2)
-	if avg := testing.AllocsPerRun(100, func() { c.VerifyBatch32(msgs, tags, ok) }); avg != 0 {
-		t.Fatalf("VerifyBatch32 allocates %.2f objects per call, want 0", avg)
 	}
 }

@@ -166,7 +166,7 @@ func (ar *AccessRouter) police(p *packet.Packet) bool {
 	}
 	cells := ar.node.Network().Cells
 	nowSec := ar.node.Network().NowSec()
-	switch ar.validate(p, nowSec) {
+	switch feedback.Validate(ar.ring, ar.kaiLookup, p, nowSec, ar.sys.Cfg.WSec) {
 	case feedback.ValidNop:
 		feedback.StampNop(ar.ring.Current(), p, nowSec)
 		cells.Add(obs.CoreStampNop, 1)
@@ -191,24 +191,6 @@ func (ar *AccessRouter) police(p *packet.Packet) bool {
 		p.Prio = 0
 		return ar.handleRequest(p)
 	}
-}
-
-// validate resolves the packet's feedback verdict: a verdict
-// precomputed by the sharded validation pipeline is consumed when its
-// binding (this router, the current key epoch) still holds; everything
-// else validates inline. The epoch check makes a stale cache — one
-// computed under a key the ring has since rotated past — harmless
-// rather than wrong.
-func (ar *AccessRouter) validate(p *packet.Packet, nowSec uint32) feedback.Verdict {
-	if p.FVSet {
-		hit := p.FVNode == ar.node.ID && p.FVEpoch == ar.ring.Epoch()
-		p.FVSet = false
-		if hit {
-			ar.node.Network().Cells.Add(obs.PipelinePrecomputeHits, 1)
-			return feedback.Verdict(p.FVVerdict)
-		}
-	}
-	return feedback.Validate(ar.ring, ar.kaiLookup, p, nowSec, ar.sys.Cfg.WSec)
 }
 
 // handleRequest polices a request packet (Figure 15) and stamps nop

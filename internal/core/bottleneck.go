@@ -6,7 +6,6 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/packet"
-	"netfence/internal/passport"
 	"netfence/internal/queue"
 	"netfence/internal/sim"
 )
@@ -51,20 +50,9 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 		b.util.Threshold = s.Cfg.UtilThreshold
 	}
 	if s.Cfg.Passport && s.Registry != nil {
-		cells := l.From.Network().Cells
 		b.q.verify = func(p *packet.Packet) bool {
 			if p.SrcAS == l.From.AS {
 				return true // intra-AS traffic carries no trailer here
-			}
-			if p.PVLink == l.ID {
-				// Verdict precomputed by the sharded validation pipeline at
-				// the drain barrier (Registry.Check under a worker-private
-				// CMAC clone). Consume it exactly once and apply the trailer
-				// consumption at the instant Verify would have mutated it.
-				p.PVLink = 0
-				passport.Apply(p, int(p.PVConsume))
-				cells.Add(obs.PipelinePrecomputeHits, 1)
-				return p.PVOK
 			}
 			return s.Registry.Verify(p, l.From.AS)
 		}

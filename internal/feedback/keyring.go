@@ -13,11 +13,6 @@ import (
 type KeyRing struct {
 	current *cmac.CMAC
 	prev    *cmac.CMAC
-	// epoch counts rotations. Verdicts precomputed off the owning
-	// goroutine (the sharded validation pipeline) are tagged with the
-	// epoch they were computed under; a consumer seeing a different
-	// epoch discards the cache and validates inline.
-	epoch uint64
 
 	// Material, when set, is a dedicated stream the actual key bytes are
 	// drawn from; Rotate still burns the same number of draws from its
@@ -70,12 +65,7 @@ func (r *KeyRing) Rotate(rng *rand.Rand) {
 	}
 	r.prev = r.current
 	r.current = cmac.New(key)
-	r.epoch++
 }
-
-// Epoch returns the rotation count: the key-epoch identity a
-// precomputed verdict is only valid under.
-func (r *KeyRing) Epoch() uint64 { return r.epoch }
 
 // Current returns the stamping key.
 func (r *KeyRing) Current() *cmac.CMAC { return r.current }

@@ -51,18 +51,6 @@ func (m *Mailbox) push(p *packet.Packet, key sim.EventKey) {
 	m.args = append(m.args, p)
 }
 
-// Pending exposes the mailbox's undrained handoff batch: the sorted
-// arrival-key slab and the parallel packet-argument slab. The sharded
-// validation pipeline reads it between the coordinator's barrier and
-// Drain — every shard is parked at the drain round, so the batch (and
-// all replica state the verdicts depend on) is frozen. The slices alias
-// the mailbox's slabs and are invalidated by the next Drain or push.
-func (m *Mailbox) Pending() ([]sim.EventKey, []any) { return m.keys, m.args }
-
-// DestLink returns the destination replica's copy of the cut link —
-// where Pending packets will arrive.
-func (m *Mailbox) DestLink() *Link { return m.destLink }
-
 // Drain injects every pending arrival into the destination engine as
 // one batch and reports whether any landed at or before deadline.
 // Called by the destination shard at window start, after the barrier.

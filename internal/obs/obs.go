@@ -85,15 +85,6 @@ const (
 	NetsimHandoffPackets
 	NetsimMailboxDepthHWM
 
-	// Sharded validation pipeline (runtime plane: the pipeline only runs
-	// on sharded layouts, and how much it precomputes depends on the cut
-	// structure — the verdicts themselves are deterministic either way).
-	PipelineBatches
-	PipelinePackets
-	PipelinePrecomputed
-	PipelinePrecomputeHits
-	PipelineRotationFallbacks
-
 	// NumIDs is the cell-array length; keep it last.
 	NumIDs
 )
@@ -158,11 +149,6 @@ var defs = []Def{
 	{NetsimHandoffBatches, "netsim_handoff_batch_total", "cut-link mailbox drain batches between shards", "—", Counter, true},
 	{NetsimHandoffPackets, "netsim_handoff_packet_total", "packets handed across shard cut links", "—", Counter, true},
 	{NetsimMailboxDepthHWM, "netsim_mailbox_depth_hwm", "highest packet depth a cut-link mailbox reached at a drain", "—", Gauge, true},
-	{PipelineBatches, "pipeline_validation_batch_total", "handoff batches fanned out to the validation worker pool", "§5.1", Counter, true},
-	{PipelinePackets, "pipeline_validation_packet_total", "handoff packets examined by the validation worker pool", "§5.1", Counter, true},
-	{PipelinePrecomputed, "pipeline_precompute_total", "MAC verdicts precomputed off the serialized execute phase", "§5.1", Counter, true},
-	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed MAC verdicts consumed at admission instead of inline CMAC", "§5.1", Counter, true},
-	{PipelineRotationFallbacks, "pipeline_rotation_fallback_total", "handoff packets skipped by the pipeline because their window straddles a KeyRotate boundary (validated inline)", "§4.1", Counter, true},
 }
 
 // Catalog returns the registry in cell order.

@@ -246,32 +246,6 @@ type Packet struct {
 	// SentAt records when the transport first emitted the packet.
 	SentAt sim.Time
 
-	// Precomputed verdict cache, filled by the sharded validation
-	// pipeline while a cut-link handoff batch drains (every shard is at
-	// the drain barrier, so packet and key state are frozen) and consumed
-	// by the serialized execute phase in place of inline CMAC work. The
-	// verdicts are pure functions of the packet bytes and the key epoch;
-	// the consumers re-check the binding (link/node identity, key epoch)
-	// and fall back to inline validation on any mismatch, so a stale or
-	// unconsumed cache is dropped, never wrong. Zero values mean "no
-	// cached verdict" — LinkID 0 and the PV/FV flags are reserved for
-	// exactly that.
-
-	// PVLink tags a cached Passport verdict with the protected link whose
-	// verify hook may consume it (0 = none); PVOK is the Registry.Check
-	// result and PVConsume its trailer-consumption index.
-	PVLink    LinkID
-	PVOK      bool
-	PVConsume int32
-	// FVNode tags a cached feedback verdict with the access router that
-	// may consume it; FVSet distinguishes a cached Invalid from "no
-	// cache"; FVEpoch is the key-ring epoch the verdict was computed
-	// under; FVVerdict holds the feedback.Verdict value.
-	FVNode    NodeID
-	FVSet     bool
-	FVEpoch   uint64
-	FVVerdict uint8
-
 	// pooled marks packets drawn from a Pool (only those are recycled);
 	// inPool guards against double release. See pool.go.
 	pooled, inPool bool

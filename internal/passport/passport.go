@@ -24,22 +24,32 @@ import (
 // setup draws them from a seeded RNG, which is equivalent for every
 // data-path purpose (both parties of a pair hold the same secret, third
 // parties do not).
+//
+// The secrets are drawn up front, but each pair's CMAC (an expanded AES
+// key schedule, several hundred bytes) is built on the pair's first use:
+// a run touches only the pairs on its traffic's paths, a small share of
+// the quadratic table on many-AS topologies. Like cmac.CMAC, a Registry
+// is not safe for concurrent use.
 type Registry struct {
-	keys map[[2]packet.ASID]*cmac.CMAC
+	secrets map[[2]packet.ASID]cmac.Key
+	macs    map[[2]packet.ASID]*cmac.CMAC
 }
 
 // NewRegistry establishes a key for every unordered pair of the given
 // ASes, including the self-pair (used when the bottleneck is in the
 // sender's own AS).
 func NewRegistry(rng *rand.Rand, ases []packet.ASID) *Registry {
-	r := &Registry{keys: make(map[[2]packet.ASID]*cmac.CMAC)}
+	r := &Registry{
+		secrets: make(map[[2]packet.ASID]cmac.Key),
+		macs:    make(map[[2]packet.ASID]*cmac.CMAC),
+	}
 	for i, a := range ases {
 		for _, b := range ases[i:] {
 			var k cmac.Key
 			for j := 0; j < 16; j += 8 {
 				binary.LittleEndian.PutUint64(k[j:], rng.Uint64())
 			}
-			r.keys[pairKey(a, b)] = cmac.New(k)
+			r.secrets[pairKey(a, b)] = k
 		}
 	}
 	return r
@@ -55,7 +65,17 @@ func pairKey(a, b packet.ASID) [2]packet.ASID {
 // Key returns the MAC keyed with the secret shared by ASes a and b, or
 // nil if the pair is unknown.
 func (r *Registry) Key(a, b packet.ASID) *cmac.CMAC {
-	return r.keys[pairKey(a, b)]
+	pk := pairKey(a, b)
+	if m, ok := r.macs[pk]; ok {
+		return m
+	}
+	k, ok := r.secrets[pk]
+	if !ok {
+		return nil
+	}
+	m := cmac.New(k)
+	r.macs[pk] = m
+	return m
 }
 
 // macInput is the canonical Passport MAC input. Passport's MAC covers the
@@ -96,56 +116,33 @@ func (r *Registry) Stamp(p *packet.Packet, path []packet.ASID) {
 // re-verifying at a second router of an already-verified AS succeeds
 // without consuming anything — a transit AS verifies at ingress only.
 func (r *Registry) Verify(p *packet.Packet, transitAS packet.ASID) bool {
-	ok, consume := r.Check(p, transitAS, r.Key(p.SrcAS, transitAS))
-	Apply(p, consume)
-	return ok
-}
-
-// Check is Verify's pure half: it computes the verdict Verify would
-// return for p at transitAS without mutating the trailer. ok is the MAC
-// comparison; consume is the entry index a subsequent Apply must
-// consume, or -1 when Verify would not touch the trailer at all (no
-// trailer, AS already verified, AS absent, or key unknown). mac is the
-// instance to compute with — pass r.Key(p.SrcAS, transitAS) on the
-// owning goroutine, or a private Clone of it from a batch worker, since
-// CMAC scratch is not concurrent-safe.
-func (r *Registry) Check(p *packet.Packet, transitAS packet.ASID, mac *cmac.CMAC) (ok bool, consume int) {
 	st := &p.Passport
 	if !st.Present {
-		return false, -1
+		return false
 	}
 	// Already verified at this AS's ingress?
 	for i := 0; i < st.Next && i < len(st.Entries); i++ {
 		if st.Entries[i].AS == transitAS {
-			return true, -1
+			return true
 		}
 	}
 	for i := st.Next; i < len(st.Entries); i++ {
 		if st.Entries[i].AS != transitAS {
 			continue
 		}
-		if mac == nil {
-			return false, -1
+		key := r.Key(p.SrcAS, transitAS)
+		if key == nil {
+			return false
 		}
 		var buf [20]byte
-		want := mac.Sum32(macInput(&buf, p, transitAS))
-		return want == st.Entries[i].MAC, i
+		want := key.Sum32(macInput(&buf, p, transitAS))
+		// Entries bypassed by this verification are invalidated: the
+		// packet demonstrably did not enter those ASes before this one.
+		for j := st.Next; j < i; j++ {
+			st.Entries[j].AS = -1
+		}
+		st.Next = i + 1
+		return want == st.Entries[i].MAC
 	}
-	return false, -1
-}
-
-// Apply is Verify's mutating half: it consumes the trailer entry a
-// Check verdict identified. Entries bypassed by the consumption are
-// invalidated — the packet demonstrably did not enter those ASes before
-// this one. Apply(p, -1) is a no-op, matching the Check verdicts that
-// carry no consumption.
-func Apply(p *packet.Packet, consume int) {
-	if consume < 0 {
-		return
-	}
-	st := &p.Passport
-	for j := st.Next; j < consume; j++ {
-		st.Entries[j].AS = -1
-	}
-	st.Next = consume + 1
+	return false
 }

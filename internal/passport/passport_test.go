@@ -133,94 +133,3 @@ func TestStampVerifyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// snapTrailer deep-copies a trailer so later in-place mutation of the
-// shared Entries backing array is detectable.
-func snapTrailer(p *packet.Packet) packet.PassportStamp {
-	s := p.Passport
-	s.Entries = append([]packet.PassportMAC(nil), s.Entries...)
-	return s
-}
-
-// equalTrailer deep-compares two trailers (PassportStamp holds a slice,
-// so == is unavailable).
-func equalTrailer(x, y packet.PassportStamp) bool {
-	if x.Present != y.Present || x.Next != y.Next || len(x.Entries) != len(y.Entries) {
-		return false
-	}
-	for i := range x.Entries {
-		if x.Entries[i] != y.Entries[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCheckApplyMatchesVerify: the pure Check plus deferred Apply — the
-// pipeline's split form — must agree with Verify hop by hop, including
-// corrupted MACs, spoofed sources and off-path ASes, and leave the
-// trailer in the identical state.
-func TestCheckApplyMatchesVerify(t *testing.T) {
-	mk := func(corrupt, spoof bool) (*packet.Packet, *packet.Packet) {
-		a := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
-		b := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
-		r := testRegistry()
-		r.Stamp(a, []packet.ASID{2, 3, 4})
-		r.Stamp(b, []packet.ASID{2, 3, 4})
-		if corrupt {
-			a.Passport.Entries[1].MAC[0] ^= 1
-			b.Passport.Entries[1].MAC[0] ^= 1
-		}
-		if spoof {
-			a.SrcAS, b.SrcAS = 9, 9
-		}
-		return a, b
-	}
-	for _, tc := range []struct {
-		name           string
-		corrupt, spoof bool
-		hops           []packet.ASID
-	}{
-		{name: "honest path", hops: []packet.ASID{2, 3, 4, 4, 9}},
-		{name: "skip then revisit", hops: []packet.ASID{3, 2, 4}},
-		{name: "corrupted mac", corrupt: true, hops: []packet.ASID{2, 3, 4}},
-		{name: "spoofed source", spoof: true, hops: []packet.ASID{2, 3}},
-	} {
-		r := testRegistry()
-		a, b := mk(tc.corrupt, tc.spoof)
-		for _, as := range tc.hops {
-			want := r.Verify(a, as)
-			ok, consume := r.Check(b, as, r.Key(b.SrcAS, as))
-			Apply(b, consume)
-			if ok != want {
-				t.Fatalf("%s: Check at AS %d = %v, Verify = %v", tc.name, as, ok, want)
-			}
-			if !equalTrailer(a.Passport, b.Passport) {
-				t.Fatalf("%s: trailer state diverged after AS %d:\nverify: %+v\nsplit:  %+v",
-					tc.name, as, a.Passport, b.Passport)
-			}
-		}
-	}
-}
-
-// TestCheckIsPure: Check must not mutate the packet — the pipeline
-// calls it at the drain barrier and defers the consumption to Apply at
-// the protected link.
-func TestCheckIsPure(t *testing.T) {
-	r := testRegistry()
-	p := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, Size: 700}
-	r.Stamp(p, []packet.ASID{2, 3})
-	before := snapTrailer(p)
-	ok, consume := r.Check(p, 3, r.Key(1, 3))
-	if !ok || consume < 0 {
-		t.Fatalf("Check(AS 3) = (%v, %d), want a consuming success", ok, consume)
-	}
-	if !equalTrailer(p.Passport, before) {
-		t.Fatal("Check mutated the trailer")
-	}
-	// A negative consume Apply is a no-op.
-	Apply(p, -1)
-	if !equalTrailer(p.Passport, before) {
-		t.Fatal("Apply(-1) mutated the trailer")
-	}
-}

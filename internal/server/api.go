@@ -20,6 +20,11 @@ type ControlRequest struct {
 	Resume bool `json:"resume,omitempty"`
 }
 
+// maxBodyBytes caps a POST body: job specs and control requests are
+// small JSON documents, so anything larger is refused with 413 before
+// the server buffers it.
+const maxBodyBytes = 1 << 20
+
 // routes wires the HTTP API.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
@@ -85,10 +90,7 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request, j *job
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	j, err := s.submit(spec)
@@ -134,10 +136,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	var req ControlRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// Structural validation is synchronous (a malformed mutation fails
@@ -174,6 +173,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// decodeBody strictly decodes a request body of at most maxBodyBytes
+// into v, answering 413 (oversized) or 400 (malformed or unknown field)
+// and returning false on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
+		return false
+	}
+	return true
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

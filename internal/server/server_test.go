@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -491,6 +492,30 @@ func TestSubmitValidation(t *testing.T) {
 		code, body := postJSON(t, base+"/jobs", tc.spec)
 		if code != tc.code || !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: code=%d body=%s, want %d containing %q", tc.name, code, body, tc.code, tc.want)
+		}
+	}
+
+	// Raw bodies: ones no JobSpec marshals to.
+	rawCases := []struct {
+		name string
+		body string
+		code int
+		want string
+	}{
+		{"oversized", `{"scenario":{"name":"` + strings.Repeat("x", maxBodyBytes) + `"}}`,
+			http.StatusRequestEntityTooLarge, "too large"},
+		{"retired-field", `{"scenario":{"name":"smoke","pipeline":"on"}}`,
+			http.StatusBadRequest, `unknown field \"pipeline\"`},
+	}
+	for _, tc := range rawCases {
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: code=%d body=%s, want %d containing %q", tc.name, resp.StatusCode, body, tc.code, tc.want)
 		}
 	}
 

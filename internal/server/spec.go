@@ -60,9 +60,6 @@ type ScenarioSpec struct {
 	DenyAttackers bool `json:"deny_attackers,omitempty"`
 	// Shards partitions the run (0/1 = single engine, -1 = auto).
 	Shards int `json:"shards,omitempty"`
-	// Pipeline controls the sharded validation pipeline: "auto" (or
-	// empty), "on" or "off". Results are byte-identical in every mode.
-	Pipeline string `json:"pipeline,omitempty"`
 	// TimeseriesIntervalSec is the sampling period of the timeseries
 	// probe every serve-mode scenario carries (0 = 5 s).
 	TimeseriesIntervalSec float64 `json:"timeseries_interval_sec,omitempty"`
@@ -335,10 +332,6 @@ func (s ScenarioSpec) Scenario() (netfence.Scenario, error) {
 	if err != nil {
 		return netfence.Scenario{}, err
 	}
-	pipeline, err := netfence.ParsePipelineMode(s.Pipeline)
-	if err != nil {
-		return netfence.Scenario{}, err
-	}
 	sc := netfence.Scenario{
 		Name:          s.Name,
 		Seed:          s.Seed,
@@ -348,7 +341,6 @@ func (s ScenarioSpec) Scenario() (netfence.Scenario, error) {
 		Warmup:        secs(s.WarmupSec),
 		DenyAttackers: s.DenyAttackers,
 		Shards:        s.Shards,
-		Pipeline:      pipeline,
 		Timeline:      mutations(s.Timeline),
 	}
 	if s.DeployFraction != nil {

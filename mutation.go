@@ -581,7 +581,6 @@ func (in *Instance) Finish() *Result {
 		if sh := in.env.sh; sh != nil {
 			sh.coord.RunUntil(in.Scenario.Duration)
 			sh.coord.Stop()
-			sh.stopPipelines()
 		} else {
 			in.Eng.RunUntil(in.Scenario.Duration)
 		}
@@ -603,7 +602,6 @@ func (in *Instance) Stop() {
 	in.finished = true
 	if sh := in.env.sh; sh != nil {
 		sh.coord.Stop()
-		sh.stopPipelines()
 	}
 }
 

@@ -76,13 +76,9 @@ type Scenario struct {
 	// topology's AS count; an explicit count exceeding the AS count
 	// fails fast instead of clamping.
 	Shards int
-	// Pipeline controls the sharded validation pipeline, which overlaps
-	// batched MAC validation of cut-link handoffs with the drain phase so
-	// the serialized execute phase consumes precomputed verdicts. The
-	// zero value (PipelineAuto) turns it on exactly when it pays —
-	// sharded NetFence runs with Passport verification active; PipelineOn
-	// forces it, PipelineOff disables it. Single-engine runs ignore the
-	// setting, and results are byte-identical in every mode.
+	// Pipeline is ignored.
+	//
+	// Deprecated: cut-link arrivals are always validated inline.
 	Pipeline PipelineMode
 	// Timeline declares scheduled mid-run control-plane changes — link
 	// degradations and restorations, attack toggles and

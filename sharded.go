@@ -21,49 +21,16 @@ import (
 // hint and clamps by design.
 const AutoShards = -1
 
-// PipelineMode controls the sharded validation pipeline: the stage that
-// precomputes MAC verdicts for cut-link handoff batches on a worker
-// pool during the drain phase, so the serialized execute phase consumes
-// cached verdicts instead of running CMAC inline (see
-// core.Pipeline). Results are byte-identical in every mode at every
-// shard count — the mode trades wall-clock speed, never outcomes.
+// PipelineMode is a retired sharded-executor setting.
+//
+// Deprecated: cut-link arrivals are always validated inline; the value
+// is ignored and the type is kept only so existing callers compile.
 type PipelineMode int
 
-const (
-	// PipelineAuto (the zero value) enables the pipeline exactly when it
-	// can pay: a sharded run of the NetFence system with Passport trailer
-	// verification active at core links. Everything else runs without it.
-	PipelineAuto PipelineMode = iota
-	// PipelineOn forces the pipeline on every sharded NetFence run.
-	PipelineOn
-	// PipelineOff disables the pipeline unconditionally.
-	PipelineOff
-)
-
-// ParsePipelineMode parses "auto", "on" or "off" (the CLI and server
-// spellings).
-func ParsePipelineMode(s string) (PipelineMode, error) {
-	switch s {
-	case "", "auto":
-		return PipelineAuto, nil
-	case "on":
-		return PipelineOn, nil
-	case "off":
-		return PipelineOff, nil
-	}
-	return PipelineAuto, fmt.Errorf("netfence: unknown pipeline mode %q (auto|on|off)", s)
-}
-
-// String returns the CLI spelling of the mode.
-func (m PipelineMode) String() string {
-	switch m {
-	case PipelineOn:
-		return "on"
-	case PipelineOff:
-		return "off"
-	}
-	return "auto"
-}
+// PipelineAuto is the zero PipelineMode.
+//
+// Deprecated: ignored, like every PipelineMode.
+const PipelineAuto PipelineMode = 0
 
 // Partitioning errors, re-exported so callers can errors.Is against
 // them without importing internal packages.
@@ -88,9 +55,6 @@ type Sharding struct {
 	Lookahead Time
 	// ASesPerShard lists each shard's AS count.
 	ASesPerShard []int
-	// Pipeline reports whether the sharded validation pipeline is active
-	// on this run (Scenario.Pipeline resolved against the built system).
-	Pipeline bool
 
 	coord *sim.Coordinator
 }
@@ -100,9 +64,7 @@ func (sh *Sharding) Windows() uint64 { return sh.coord.Windows() }
 
 // SerializedNanos returns each shard's accumulated execute-round
 // wall-clock nanoseconds — the serialized portion of the parallel run.
-// Call it at a control point or after the run; with the validation
-// pipeline active, the bottleneck shard's slot shrinks by the CMAC work
-// moved into the drain phase.
+// Call it at a control point or after the run.
 func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos() }
 
 // shardState is the executor state of one sharded scenario run: N full
@@ -123,29 +85,8 @@ type shardState struct {
 	systems  []defense.System
 	coord    *sim.Coordinator
 	inboxes  [][]*netsim.Mailbox
-	// pipelines holds each shard's validation pipeline (nil slice when
-	// the run resolved to PipelineOff or no shard can use one).
-	pipelines []*core.Pipeline
-	flowSeq   uint32
-	info      *Sharding
-}
-
-// pipeline returns shard sh's validation pipeline, nil when inactive.
-func (st *shardState) pipeline(sh int) *core.Pipeline {
-	if st.pipelines == nil {
-		return nil
-	}
-	return st.pipelines[sh]
-}
-
-// stopPipelines tears down every shard's validation workers. Safe to
-// call repeatedly and with no pipelines built.
-func (st *shardState) stopPipelines() {
-	for _, pl := range st.pipelines {
-		if pl != nil {
-			pl.Stop()
-		}
-	}
+	flowSeq  uint32
+	info     *Sharding
 }
 
 // shardOf returns the shard owning a node.
@@ -353,46 +294,7 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	names := shardNames(part, bt0.graph)
 	st.coord = sim.NewCoordinator(st.engines, part.Lookahead, names)
 
-	// Resolve the validation-pipeline mode and build the per-shard worker
-	// pools. Auto enables the stage exactly where it pays: handoffs into
-	// shards whose NetFence replica verifies Passport trailers at core
-	// links — the CMAC work that otherwise serializes on the bottleneck
-	// shard's execute phase.
-	usePipe := s.Pipeline == PipelineOn
-	if s.Pipeline == PipelineAuto {
-		if cs, ok := st.systems[0].(*core.System); ok {
-			usePipe = cs.Cfg.Passport && cs.Registry != nil
-		}
-	}
-	pipeActive := false
-	if usePipe {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > 4 {
-			workers = 4
-		}
-		st.pipelines = make([]*core.Pipeline, shards)
-		for i := range st.inboxes {
-			cs, ok := st.systems[i].(*core.System)
-			if !ok || len(st.inboxes[i]) == 0 {
-				continue
-			}
-			st.pipelines[i] = core.NewPipeline(cs, st.replicas[i].net, names[i], workers)
-			pipeActive = true
-		}
-		if !pipeActive {
-			st.pipelines = nil
-		}
-	}
-
 	st.coord.SetDrain(func(shard int, deadline sim.Time) bool {
-		// Precompute every pending handoff's MAC verdicts on the worker
-		// pool before injecting: all shards are parked in the drain round,
-		// so the replica state the verdicts read is frozen, and Wait's
-		// completion happens-before the injection below.
-		if pl := st.pipeline(shard); pl != nil {
-			pl.Submit(st.inboxes[shard])
-			pl.Wait()
-		}
 		hit := false
 		for _, mb := range st.inboxes[shard] {
 			if mb.Drain(deadline) {
@@ -406,7 +308,6 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 		CutLinks:     len(part.CutLinks),
 		Lookahead:    part.Lookahead,
 		ASesPerShard: make([]int, shards),
-		Pipeline:     pipeActive,
 		coord:        st.coord,
 	}
 	for _, sh := range part.ShardOfAS {

@@ -67,27 +67,43 @@ func diffJSON(t *testing.T, name string, want, got string, shards int) {
 		name, shards, i, want[lo:hiW], got[lo:hiG])
 }
 
+// passportCfg is DefaultConfig with Passport source authentication
+// enabled: every cut-link arrival at a protected core link pays an
+// inline trailer verification.
+func passportCfg() Config {
+	cfg := DefaultConfig()
+	cfg.Passport = true
+	return cfg
+}
+
 // TestShardedEquivalenceTopologies is the golden-equivalence gate of
 // the sharded executor: on each of the four in-tree topologies, the
 // partitioned run must reproduce the single-engine Result JSON byte for
-// byte at several shard counts.
+// byte at several shard counts. The passport rows repeat the gate with
+// per-packet source-AS authentication, including key rotations that
+// straddle lookahead windows and a forged-MAC adversary whose invalid
+// stamps must demote exactly as on the single engine.
 func TestShardedEquivalenceTopologies(t *testing.T) {
+	dumbbell := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
+	randomAS := RandomASSpec{Senders: 20, BottleneckBps: 4_000_000, TransitASes: 4, ExtraLinks: 2, ColluderASes: 3, GraphSeed: 3}
+	mix := []Workload{
+		LongTCP{Senders: Range(0, 5)},
+		UDPFlood{Senders: Range(5, 12)},
+		ColluderPairs{Senders: Range(12, 20), RateBps: 1_000_000},
+	}
+	passport, rotating := passportCfg(), passportCfg()
+	rotating.KeyRotate = 6 * Second // > WSec, several rotations inside the 30 s run
 	cases := []struct {
 		name      string
 		spec      TopologySpec
 		workloads []Workload
-		shards    []int
+		// cfg, when set, replaces the default NetFence configuration.
+		cfg *Config
+		// deploy, when set, replaces full deployment.
+		deploy Deployment
+		shards []int
 	}{
-		{
-			name: "dumbbell",
-			spec: DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3},
-			workloads: []Workload{
-				LongTCP{Senders: Range(0, 5)},
-				UDPFlood{Senders: Range(5, 12)},
-				ColluderPairs{Senders: Range(12, 20), RateBps: 1_000_000},
-			},
-			shards: []int{2, 4, 8},
-		},
+		{name: "dumbbell", spec: dumbbell, workloads: mix, shards: []int{2, 4, 8}},
 		{
 			name: "parking-lot",
 			spec: ParkingLotSpec{SendersPerGroup: 10, L1Bps: 4_000_000, L2Bps: 2_000_000},
@@ -110,24 +126,39 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 			},
 			shards: []int{2, 4},
 		},
+		{name: "random-as", spec: randomAS, workloads: mix, shards: []int{2, 4, 8}},
+		{name: "passport-dumbbell", spec: dumbbell, workloads: mix, cfg: &passport, shards: []int{2, 4, 8}},
+		{name: "passport-random-as", spec: randomAS, workloads: mix, cfg: &passport, shards: []int{2, 4, 8}},
+		{name: "passport-rotation-straddle", spec: dumbbell, workloads: mix, cfg: &rotating, shards: []int{2, 4}},
 		{
-			name: "random-as",
-			spec: RandomASSpec{Senders: 20, BottleneckBps: 4_000_000, TransitASes: 4, ExtraLinks: 2, ColluderASes: 3, GraphSeed: 3},
+			// The replay strategy presents stale feedback, and the rogue
+			// half of the source ASes runs no shim, so stamps are missing.
+			name: "passport-forged-mac",
+			spec: dumbbell,
 			workloads: []Workload{
 				LongTCP{Senders: Range(0, 5)},
-				UDPFlood{Senders: Range(5, 12)},
+				AttackSpec{Strategy: "replay", Senders: Range(5, 12), RateBps: 1_000_000},
 				ColluderPairs{Senders: Range(12, 20), RateBps: 1_000_000},
 			},
-			shards: []int{2, 4, 8},
+			cfg:    &passport,
+			deploy: DeployFraction(0.5),
+			shards: []int{2, 4},
 		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			single := resultJSON(t, equivScenario(tc.spec, tc.workloads, 1))
+			mk := func(shards int) Scenario {
+				sc := equivScenario(tc.spec, tc.workloads, shards)
+				if tc.cfg != nil {
+					sc.Defense = DefenseSpec{Name: "netfence", Config: *tc.cfg}
+				}
+				sc.Deployment = tc.deploy
+				return sc
+			}
+			single := resultJSON(t, mk(1))
 			for _, n := range tc.shards {
-				got := resultJSON(t, equivScenario(tc.spec, tc.workloads, n))
-				diffJSON(t, tc.name, single, got, n)
+				diffJSON(t, tc.name, single, resultJSON(t, mk(n)), n)
 			}
 		})
 	}
