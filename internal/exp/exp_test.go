@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,6 +21,72 @@ func skipIfShort(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("full figure simulation; skipped with -short")
+	}
+}
+
+// tinyTables memoizes each runner's Tiny table, so the golden test and
+// the shape tests that read whole tables share one run per runner.
+var tinyTables = map[string]Result{}
+
+// tinyRun returns runner name's result at Tiny, running it at most once
+// per test binary.
+func tinyRun(t *testing.T, name string) Result {
+	t.Helper()
+	if res, ok := tinyTables[name]; ok {
+		return res
+	}
+	r, err := RunnerByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run(Tiny)
+	tinyTables[name] = res
+	return res
+}
+
+// TestFigureRowsGolden pins every simulating runner's Tiny table byte
+// for byte (fig7 is host-timed, so it is left out). Tiny runs are
+// deterministic; a diff here means a figure changed. Run with
+// NETFENCE_REGEN_GOLDEN=1 to rewrite the fixture after an intentional
+// behavior change.
+func TestFigureRowsGolden(t *testing.T) {
+	skipIfShort(t)
+	const path = "testdata/tiny_rows.golden"
+	var b strings.Builder
+	for _, r := range Runners() {
+		if r.Name == "fig7" {
+			continue
+		}
+		res := tinyRun(t, r.Name)
+		b.WriteString(res.Table())
+		b.WriteByte('\n')
+	}
+	got := b.String()
+	if os.Getenv("NETFENCE_REGEN_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(raw); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("figure rows diverge from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			}
+		}
 	}
 }
 
@@ -250,7 +317,7 @@ func TestFig11Shape(t *testing.T) {
 
 func TestTheoremHolds(t *testing.T) {
 	skipIfShort(t)
-	res := Theorem(Tiny)
+	res := tinyRun(t, "theorem")
 	for _, row := range res.Rows {
 		if row[len(row)-1] != "true" {
 			t.Fatalf("fair-share bound violated: %v", row)
@@ -264,7 +331,7 @@ func TestTheoremHolds(t *testing.T) {
 // at least one strategy (TVA+ against colluder floods, per the paper).
 func TestStrategicShape(t *testing.T) {
 	skipIfShort(t)
-	res := Strategic(Tiny)
+	res := tinyRun(t, "strategic")
 	holds := func(row []string) bool { return row[len(row)-1] == "true" }
 	strategies := map[string]bool{}
 	baselineBroke := false
@@ -356,7 +423,7 @@ func TestDeployShape(t *testing.T) {
 
 func TestDeployRunnerFull(t *testing.T) {
 	skipIfShort(t)
-	res := Deploy(Tiny)
+	res := tinyRun(t, "deploy")
 	if len(res.Rows) != len(DeployFractions)*len(deployCompared) {
 		t.Fatalf("deploy rows = %d", len(res.Rows))
 	}
