@@ -145,7 +145,7 @@ func main() {
 		traceFormat = flag.String("trace-format", "json", "trace output format: json (event array) | chrome (trace_event for chrome://tracing)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 
-		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = classic single engine; -1 = one shard per CPU). Applies to -sweep and the -bench-scale large/huge cells; the -exp figures drive the low-level API and stay single-engine")
+		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = classic single engine; -1 = one shard per CPU). Applies to -sweep and the -bench-scale large/huge cells; the -exp figures run their Scenarios on the single engine")
 
 		serveMode    = flag.Bool("serve", false, "run the simulation service (HTTP job queue + SSE streaming + live control) instead of a batch command")
 		addr         = flag.String("addr", "127.0.0.1:8080", "serve: listen address (use :0 for an ephemeral port)")
@@ -317,8 +317,8 @@ func main() {
 		fmt.Println(res.Table())
 		fmt.Printf("(%s, scale=%s, %.1fs wall)\n\n", r.Name, sc.Name, time.Since(start).Seconds())
 	}
-	// The -exp figures drive the low-level API; the meter's event total
-	// is the metric they surface.
+	// The -exp figures render tables, not Results; the meter's event
+	// total across their Scenario runs is the metric they surface.
 	writeMetrics(*metricsOut, map[string]uint64{"sim_events_executed_total": meter.Total()})
 }
 
@@ -856,8 +856,9 @@ type benchRow struct {
 	SerializedNs []int64 `json:"serialized_ns,omitempty"`
 	// Counters is the suite's metric snapshot (deterministic and
 	// runtime planes merged: drops by reason, per-shard event counts,
-	// handoff batches) on scenario-driven rows; nil on the figure rows,
-	// which drive the low-level API. The bench gate ignores it.
+	// handoff batches) on single-scenario rows; nil on the figure rows,
+	// whose runners render tables, not Results. The bench gate ignores
+	// it.
 	Counters map[string]uint64 `json:"counters,omitempty"`
 }
 

@@ -3,13 +3,12 @@ package exp
 import (
 	"fmt"
 
+	"netfence"
 	"netfence/internal/core"
-	"netfence/internal/defense"
 	"netfence/internal/metrics"
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
-	"netfence/internal/topo"
 	"netfence/internal/transport"
 )
 
@@ -39,33 +38,17 @@ func AblateHysteresis(sc Scale) Result {
 }
 
 func ablateHystCell(sc Scale, hysteresis int) (atkBps, userBps, fairBps float64) {
-	eng := sc.attach(sim.New(sc.Seed))
 	const bottleneck = 800_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
 	nfCfg := core.DefaultConfig()
 	nfCfg.HysteresisIntervals = hysteresis
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	u := transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, packet.SizeData)
-	u.OnTime = nfCfg.Ilim  // burst one full control interval
-	u.OffTime = nfCfg.Ilim // harvest L-up the next
-	u.OffRateBps = 40_000  // trickle keeps feedback flowing
-	u.Start()
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	uMark, aMark := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	userBps = float64(rcv.DeliveredBytes()-uMark) * 8 / window
-	atkBps = float64(sink.Bytes-aMark) * 8 / window
-	return atkBps, userBps, bottleneck / 2
+	res := sc.run(nfDumbbell(2, bottleneck, nfCfg,
+		netfence.LongTCP{Senders: []int{0}},
+		// Burst one full control interval, harvest L-up the next; the
+		// trickle keeps feedback flowing.
+		netfence.OnOffFlood{Senders: []int{1}, RateBps: 1_000_000, On: nfCfg.Ilim, Off: nfCfg.Ilim,
+			OffRateBps: 40_000, ToColluders: true},
+	))
+	return res.AttackerBps, res.UserBps, bottleneck / 2
 }
 
 // AblateBucket probes the §4.3.3 design choice of a leaky-bucket QUEUE
@@ -95,47 +78,20 @@ func AblateBucket(sc Scale) Result {
 }
 
 func ablateBucketCell(sc Scale, token bool) (userBps, atkBps float64, drops uint64) {
-	eng := sc.attach(sim.New(sc.Seed))
-	const bottleneck = 800_000
-	cfg := topo.DefaultDumbbell(4, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
 	nfCfg := core.DefaultConfig()
 	nfCfg.TokenBucketLimiter = token
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sinks := make([]*transport.UDPSink, 3)
-	for i := 0; i < 3; i++ {
-		flow := packet.FlowID(10 + i)
-		sinks[i] = transport.NewUDPSink(d.Colluders[0].Host, flow)
-		u := transport.NewUDPSource(d.Senders[1+i].Host, d.Colluders[0].ID, flow, 1_000_000, packet.SizeData)
-		u.OnTime = 500 * sim.Millisecond
-		u.OffTime = 4 * sim.Second
-		u.OffRateBps = 30_000 // keep feedback flowing between bursts
-		u.Start()
-	}
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	uMark := rcv.DeliveredBytes()
-	var aMark uint64
-	for _, s := range sinks {
-		aMark += s.Bytes
-	}
-	dMark := d.Bottleneck.Q.Stats().Dropped
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	userBps = float64(rcv.DeliveredBytes()-uMark) * 8 / window
-	var aBytes uint64
-	for _, s := range sinks {
-		aBytes += s.Bytes
-	}
-	atkBps = float64(aBytes-aMark) * 8 / window / 3
-	drops = d.Bottleneck.Q.Stats().Dropped - dMark
-	return userBps, atkBps, drops
+	in := sc.build(nfDumbbell(4, 800_000, nfCfg,
+		netfence.LongTCP{Senders: []int{0}},
+		netfence.OnOffFlood{Senders: []int{1, 2, 3}, RateBps: 1_000_000, On: 500 * sim.Millisecond, Off: 4 * sim.Second,
+			OffRateBps: 30_000, ToColluders: true}, // the trickle keeps feedback flowing between bursts
+	))
+	// Advance stops before its instant: +1 ns takes in the warmup
+	// instant itself.
+	in.Advance(sc.Warmup + 1)
+	q := in.Dumbbell.Bottleneck.Q
+	dMark := q.Stats().Dropped
+	res := in.Run()
+	return res.UserBps, res.AttackerBps, q.Stats().Dropped - dMark
 }
 
 // AblateQuota probes the §7 congestion quota. The premise of the quota
@@ -166,43 +122,30 @@ func AblateQuota(sc Scale) Result {
 }
 
 func ablateQuotaCell(sc Scale, quota int64) (userFCT sim.Time, atkBps float64, quotaDrops uint64) {
-	eng := sc.attach(sim.New(sc.Seed))
-	const bottleneck = 400_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
 	nfCfg := core.DefaultConfig()
 	nfCfg.CongestionQuotaBytes = quota
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
+	in := sc.build(nfDumbbell(2, 400_000, nfCfg, netfence.ColluderPairs{Senders: []int{1}, RateBps: 1_000_000}))
+	// The user's file client is wired by hand: it counts only
+	// post-warmup completions, where FCTProbe counts the whole run.
+	d := in.Dumbbell
 	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
 		if p.Proto != packet.ProtoTCP {
 			return nil
 		}
 		return transport.NewTCPReceiver(d.Victim.Host, p.Flow)
 	}
-
 	var fct metrics.FCT
 	client := transport.NewFileClient(d.Senders[0].Host, d.Victim.ID, 50_000, transport.DefaultTCP())
 	client.Gap = 500 * sim.Millisecond
 	client.OnResult = func(t sim.Time, ok bool) {
-		if eng.Now() > sc.Warmup {
+		if in.Eng.Now() > sc.Warmup {
 			fct.Add(t, ok)
 		}
 	}
 	client.Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, packet.SizeData).Start()
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	aMark := sink.Bytes
-	eng.RunUntil(end)
-	client.Stop()
-	window := (end - warm).Seconds()
-	atkBps = float64(sink.Bytes-aMark) * 8 / window
-	quotaDrops = s.Access(d.SrcAccess[1]).QuotaDrops
-	return fct.Mean(), atkBps, quotaDrops
+	res := in.Run()
+	quotaDrops = in.System.(*core.System).Access(d.SrcAccess[1]).QuotaDrops
+	return fct.Mean(), res.AttackerBps, quotaDrops
 }
 
 // AblateInitRate probes the undocumented initial rate-limit parameter:
@@ -230,27 +173,22 @@ func AblateInitRate(sc Scale) Result {
 }
 
 func ablateInitCell(sc Scale, initBps int64) (userBps, atkBps float64) {
-	eng := sc.attach(sim.New(sc.Seed))
-	const bottleneck = 400_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
 	nfCfg := core.DefaultConfig()
 	nfCfg.InitialRateBps = initBps
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
+	res := sc.run(nfDumbbell(2, 400_000, nfCfg,
+		netfence.LongTCP{Senders: []int{0}},
+		netfence.ColluderPairs{Senders: []int{1}, RateBps: 1_000_000},
+	))
+	return res.UserBps, res.AttackerBps
+}
 
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, packet.SizeData).Start()
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	uMark, aMark := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	userBps = float64(rcv.DeliveredBytes()-uMark) * 8 / window
-	atkBps = float64(sink.Bytes-aMark) * 8 / window
-	return userBps, atkBps
+// nfDumbbell declares the small NetFence cell of the ablations and the
+// §4.5 study under cfg: a dumbbell of senders hosts and one colluder AS
+// through a bps bottleneck.
+func nfDumbbell(senders int, bps int64, cfg core.Config, wls ...netfence.Workload) netfence.Scenario {
+	return netfence.Scenario{
+		Topology:  netfence.DumbbellSpec{Senders: senders, BottleneckBps: bps, ColluderASes: 1},
+		Defense:   netfence.DefenseSpec{Name: "netfence", Config: cfg},
+		Workloads: wls,
+	}
 }

@@ -1,7 +1,8 @@
 // Package exp contains one runner per table/figure of the paper's
-// evaluation (§6). Each runner builds the paper's topology, deploys one
-// or more defense systems, drives the paper's workloads and attack
-// strategies, and emits the same rows/series the paper reports.
+// evaluation (§6). Each runner declares its cells as netfence.Scenario
+// values — the paper's topology, one or more defense systems, the
+// paper's workloads and attack strategies — runs them, and emits the
+// same rows/series the paper reports.
 //
 // Experiments run at three scales. The paper itself evaluates 25K-200K
 // senders by fixing a 1000-sender population and scaling the bottleneck
@@ -15,13 +16,10 @@ import (
 	"fmt"
 	"strings"
 
-	// The baselines register themselves in the defense registry; exp
-	// resolves them by name, so link them in explicitly.
-	_ "netfence/internal/baseline"
-	"netfence/internal/core"
+	"netfence"
 	"netfence/internal/defense"
-	"netfence/internal/netsim"
 	"netfence/internal/sim"
+	"netfence/internal/topo"
 )
 
 // Scale fixes an experiment family's population and durations.
@@ -45,19 +43,74 @@ type Scale struct {
 	// paper's full lineup.
 	Systems []string
 	// Meter, when set, accumulates executed-event counts from every
-	// engine the experiment creates — per-invocation, so concurrent
+	// scenario the experiment runs — per-invocation, so concurrent
 	// experiment runs never share a counter.
 	Meter *sim.Meter
 }
 
-// attach wires the scale's meter (if any) onto a freshly created
-// engine; every runner cell calls it right after sim.New.
-func (sc Scale) attach(eng *sim.Engine) *sim.Engine {
-	if sc.Meter != nil {
-		eng.AttachMeter(sc.Meter)
+// cell completes a figure cell's scenario with the scale's seed and
+// meter, and with the scale's run length unless the cell sets its own.
+func (sc Scale) cell(s netfence.Scenario) netfence.Scenario {
+	s.Seed, s.Meter = sc.Seed, sc.Meter
+	if s.Duration == 0 {
+		s.Duration, s.Warmup = sc.Duration, sc.Warmup
 	}
-	return eng
+	return s
 }
+
+// build builds a cell without running it; cells read what the probes
+// do not report through the Instance.
+func (sc Scale) build(s netfence.Scenario) *netfence.Instance {
+	in, err := sc.cell(s).Build()
+	if err != nil {
+		// Cells are declared in-tree over validated system names; a
+		// build error is a programmer error, not a runtime condition.
+		panic(err)
+	}
+	return in
+}
+
+// run builds and runs a cell.
+func (sc Scale) run(s netfence.Scenario) *netfence.Result { return sc.build(s).Run() }
+
+// runAll runs independent cells concurrently, results in argument order.
+func (sc Scale) runAll(cells []netfence.Scenario) []*netfence.Result {
+	for i := range cells {
+		cells[i] = sc.cell(cells[i])
+	}
+	res, err := netfence.RunAll(cells...)
+	if err != nil {
+		panic(err) // in-tree cells: a programmer error
+	}
+	return res
+}
+
+// dumbbell is the §6.3 dumbbell at the scale's population, its
+// bottleneck sized for label emulated senders, with nine colluder ASes.
+func (sc Scale) dumbbell(label int) netfence.DumbbellSpec {
+	return netfence.DumbbellSpec{Senders: sc.Senders, BottleneckBps: sc.BottleneckBps(label), ColluderASes: 9}
+}
+
+// splitSenders splits a DumbbellSpec population's sender indices AS by
+// AS: the first users(perAS) hosts of each source AS are users, the
+// rest attackers.
+func splitSenders(senders int, users func(perAS int) int) (user, attacker []int) {
+	// DumbbellSpec's default source-AS count, split the same way.
+	_, perAS := topo.SplitEvenly(senders, 10)
+	k := users(perAS)
+	for i := 0; i < senders; i++ {
+		if i%perAS < k {
+			user = append(user, i)
+		} else {
+			attacker = append(attacker, i)
+		}
+	}
+	return user, attacker
+}
+
+// quarterUsers is the §6.3.2 split: 25% of each AS (rounded up) are
+// legitimate users, 75% attackers.
+func quarterUsers(perAS int) int { return (perAS + 3) / 4 }
 
 // The three standard scales.
 var (
@@ -207,22 +260,6 @@ func KindByName(name string) SystemKind {
 		return SysNone
 	}
 	return SystemKind(name)
-}
-
-// buildSystem instantiates a system over a network through the defense
-// registry. nfCfg customizes NetFence; other systems use their defaults.
-func buildSystem(kind SystemKind, net *netsim.Network, nfCfg core.Config) defense.System {
-	var opts defense.BuildOptions
-	if defense.Canonical(string(kind)) == "netfence" {
-		opts.Config = nfCfg
-	}
-	s, err := defense.Build(string(kind), net, opts)
-	if err != nil {
-		// Runners take validated kinds; an unknown name here is a
-		// programmer error, not a runtime condition.
-		panic(err)
-	}
-	return s
 }
 
 // Runner is a named experiment: it maps a CLI/bench identifier to the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"netfence"
 	"netfence/internal/core"
 	"netfence/internal/sim"
 )
@@ -194,31 +195,31 @@ func TestFig8Shape(t *testing.T) {
 	// Completion is total for the capability-style systems (paper: 100%
 	// everywhere; FQ at the largest scale may abort a few transfers at
 	// tiny populations).
-	for name, f := range map[string]interface{ CompletionRatio() float64 }{
+	for name, f := range map[string]netfence.FCTSummary{
 		"NetFence25": nf25, "NetFence200": nf200, "StopIt200": st200,
 	} {
-		if f.CompletionRatio() < 0.99 {
-			t.Fatalf("%s completion = %f", name, f.CompletionRatio())
+		if f.Completion < 0.99 {
+			t.Fatalf("%s completion = %f", name, f.Completion)
 		}
 	}
 	// NetFence pays the ~1 s request backoff but stays flat with scale.
-	if m := nf25.Mean(); m < 500*sim.Millisecond || m > 4*sim.Second {
-		t.Fatalf("NetFence@25K mean FCT = %v", m)
+	if m := nf25.MeanSec; m < 0.5 || m > 4 {
+		t.Fatalf("NetFence@25K mean FCT = %vs", m)
 	}
-	if nf200.Mean() > 3*nf25.Mean()+2*sim.Second {
-		t.Fatalf("NetFence FCT not flat: %v -> %v", nf25.Mean(), nf200.Mean())
+	if nf200.MeanSec > 3*nf25.MeanSec+2 {
+		t.Fatalf("NetFence FCT not flat: %vs -> %vs", nf25.MeanSec, nf200.MeanSec)
 	}
 	// FQ grows with the attacker population (paper: linear growth) and
 	// loses to NetFence at the large end.
-	if fq200.Mean() <= fq25.Mean() {
-		t.Fatalf("FQ FCT did not grow: %v -> %v", fq25.Mean(), fq200.Mean())
+	if fq200.MeanSec <= fq25.MeanSec {
+		t.Fatalf("FQ FCT did not grow: %vs -> %vs", fq25.MeanSec, fq200.MeanSec)
 	}
-	if fq200.Mean() <= nf200.Mean() {
-		t.Fatalf("FQ@200K (%v) should exceed NetFence@200K (%v)", fq200.Mean(), nf200.Mean())
+	if fq200.MeanSec <= nf200.MeanSec {
+		t.Fatalf("FQ@200K (%vs) should exceed NetFence@200K (%vs)", fq200.MeanSec, nf200.MeanSec)
 	}
 	// StopIt filters the flood at the source: fastest of all.
-	if st200.Mean() > nf200.Mean() {
-		t.Fatalf("StopIt (%v) should beat NetFence (%v)", st200.Mean(), nf200.Mean())
+	if st200.MeanSec > nf200.MeanSec {
+		t.Fatalf("StopIt (%vs) should beat NetFence (%vs)", st200.MeanSec, nf200.MeanSec)
 	}
 }
 
@@ -436,6 +437,13 @@ func TestDeployRunnerFull(t *testing.T) {
 }
 
 func TestRunnersResolvable(t *testing.T) {
+	for _, name := range []string{"fig7", "fig8", "fig9a", "fig9b", "fig10",
+		"fig11", "fig13", "fig14", "theorem", "localize", "header",
+		"ablate-hysteresis", "ablate-initrate", "ablate-bucket", "quota"} {
+		if _, err := RunnerByName(name); err != nil {
+			t.Fatalf("experiment %q missing from the runner list", name)
+		}
+	}
 	for _, r := range Runners() {
 		got, err := RunnerByName(r.Name)
 		if err != nil || got.Name != r.Name {

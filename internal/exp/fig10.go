@@ -3,13 +3,12 @@ package exp
 import (
 	"fmt"
 
+	"netfence"
 	"netfence/internal/core"
-	"netfence/internal/defense"
 	"netfence/internal/metrics"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 	"netfence/internal/topo"
-	"netfence/internal/transport"
 )
 
 // Mode selects the NetFence multi-bottleneck variant.
@@ -87,72 +86,40 @@ type fig10Out struct {
 }
 
 func fig10Cell(sc Scale, mode Mode, l1, l2 int64) fig10Out {
-	eng := sc.attach(sim.New(sc.Seed))
-	cfg := topo.DefaultParkingLot(sc.PLGroup, l1, l2)
-	pl := topo.NewParkingLot(eng, cfg)
 	nfCfg := core.DefaultConfig()
 	nfCfg.MultiFeedback = mode == ModeMultiFB
 	nfCfg.InferLimiters = mode == ModeInfer
-	s := core.NewSystem(pl.Net, nfCfg)
-	pl.Deploy(s, defense.Policy{})
-
-	type groupState struct {
-		userCtr []*int64
-		sinks   []*transport.UDPSink
+	pl := topo.DefaultParkingLot(sc.PLGroup, l1, l2)
+	// Each group (its ASes filled evenly, the remainder dropped): the
+	// first quarter are long-TCP users, the rest flood their group's
+	// colluders.
+	perGroup := pl.ASesPerGroup * (pl.SendersPerGroup / pl.ASesPerGroup)
+	users := netfence.Range(0, quarterUsers(perGroup))
+	attackers := netfence.Range(len(users), perGroup)
+	var wls []netfence.Workload
+	for g := 0; g < 3; g++ {
+		wls = append(wls,
+			netfence.LongTCP{Senders: users, Group: g},
+			netfence.ColluderPairs{Senders: attackers, Group: g, RateBps: 1_000_000})
 	}
-	var groups [3]groupState
-	for g := range pl.Groups {
-		grp := &pl.Groups[g]
-		quarter := (len(grp.Senders) + 3) / 4
-		for i, h := range grp.Senders {
-			if i < quarter {
-				ctr := new(int64)
-				groups[g].userCtr = append(groups[g].userCtr, ctr)
-				flow := pl.Net.NextFlow()
-				r := transport.NewTCPReceiver(grp.Victim.Host, flow)
-				r.OnDeliver = func(b int) { *ctr += int64(b) }
-				transport.NewTCPSender(h.Host, grp.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-			} else {
-				col := grp.Colluders[i%len(grp.Colluders)]
-				flow := packet.FlowID(uint32(3_000_000 + g*100_000 + i))
-				groups[g].sinks = append(groups[g].sinks, transport.NewUDPSink(col.Host, flow))
-				transport.NewUDPSource(h.Host, col.ID, flow, 1_000_000, packet.SizeData).Start()
-			}
-		}
-	}
-
-	eng.RunUntil(sc.Warmup)
-	userMark := make([][]int64, 3)
-	atkMark := make([][]uint64, 3)
-	for g := range groups {
-		for _, c := range groups[g].userCtr {
-			userMark[g] = append(userMark[g], *c)
-		}
-		for _, s := range groups[g].sinks {
-			atkMark[g] = append(atkMark[g], s.Bytes)
-		}
-	}
-	eng.RunUntil(sc.Duration)
-	window := (sc.Duration - sc.Warmup).Seconds()
-	avg := func(g int, users bool) float64 {
-		var rates []float64
-		if users {
-			for i, c := range groups[g].userCtr {
-				rates = append(rates, float64(*c-userMark[g][i])*8/window)
-			}
-		} else {
-			for i, s := range groups[g].sinks {
-				rates = append(rates, float64(s.Bytes-atkMark[g][i])*8/window)
-			}
-		}
-		m, _ := metrics.MeanStd(rates)
+	res := sc.run(netfence.Scenario{
+		// The registered builder keeps the paper's per-group AS split,
+		// which ParkingLotSpec would re-split to fit the population.
+		Topology:  netfence.RegisteredTopology{Name: "parkinglot", Config: pl},
+		Defense:   netfence.DefenseSpec{Name: "netfence", Config: nfCfg},
+		Workloads: wls,
+	})
+	// Rates list users (and attackers) group by group.
+	mean := func(rates []float64, g int) float64 {
+		n := len(rates) / 3
+		m, _ := metrics.MeanStd(rates[g*n : (g+1)*n])
 		return m
 	}
 	return fig10Out{
-		aUser: avg(0, true),
-		aAtk:  avg(0, false),
-		bUser: avg(1, true),
-		cUser: avg(2, true),
+		aUser: mean(res.UserRates, 0),
+		aAtk:  mean(res.AttackerRates, 0),
+		bUser: mean(res.UserRates, 1),
+		cUser: mean(res.UserRates, 2),
 	}
 }
 
@@ -190,22 +157,18 @@ func Localize(sc Scale) Result {
 }
 
 func localizeCell(sc Scale, fallback bool) (honestBps, rogueBps float64, engaged bool) {
-	eng := sc.attach(sim.New(sc.Seed))
 	const bottleneck = 2_000_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
 	nfCfg := core.DefaultConfig()
 	nfCfg.PerASFallback = fallback
 	nfCfg.FallbackAfter = 20 * sim.Second
-	s := core.NewSystem(d.Net, nfCfg)
-	s.ProtectLink(d.Bottleneck)
-	s.ProtectAccess(d.SrcAccess[0]) // honest AS only; AS 1 is compromised
-	s.ProtectAccess(d.VictimAccess)
-	s.ProtectAccess(d.ColluderAccess[0])
-	s.AttachHost(d.Senders[0], defense.Policy{})
-	s.AttachHost(d.Victim, defense.Policy{})
-	s.AttachHost(d.Colluders[0], defense.Policy{})
+	s := nfDumbbell(2, bottleneck, nfCfg,
+		netfence.LongTCP{Senders: []int{0}},
+		netfence.ColluderPairs{Senders: []int{1}, RateBps: 2 * bottleneck},
+	)
+	// Only the honest AS deploys; AS 1 is compromised.
+	s.Deployment = netfence.DeployMap(map[int]bool{0: true})
+	s.Duration, s.Warmup = 210*sim.Second, 90*sim.Second
+	in := sc.build(s)
 	// The compromised AS differs from a legacy AS: its router holds real
 	// NetFence keys and stamps plausible-looking feedback it never
 	// enforces. The bottleneck cannot verify nop feedback (only access
@@ -213,21 +176,8 @@ func localizeCell(sc Scale, fallback bool) (honestBps, rogueBps float64, engaged
 	// channel — the exact hole the §4.5 per-AS fallback closes. A zero
 	// MAC would instead be demoted to legacy like a non-deploying AS's
 	// traffic.
-	d.Senders[1].Host.Shim = rogueShim{}
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 2*bottleneck, packet.SizeData).Start()
-
-	warm := 90 * sim.Second
-	end := warm + 120*sim.Second
-	eng.RunUntil(warm)
-	hMark, rMark := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	honestBps = float64(rcv.DeliveredBytes()-hMark) * 8 / window
-	rogueBps = float64(sink.Bytes-rMark) * 8 / window
-	engaged = s.Bottleneck(d.Bottleneck).FallbackActive()
-	return honestBps, rogueBps, engaged
+	in.Dumbbell.Senders[1].Host.Shim = rogueShim{}
+	res := in.Run()
+	engaged = in.System.(*core.System).Bottleneck(in.Dumbbell.Bottleneck).FallbackActive()
+	return res.UserBps, res.AttackerBps, engaged
 }

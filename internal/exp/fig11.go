@@ -3,13 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/packet"
+	"netfence"
 	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
 )
 
 // Fig11 regenerates Figure 11: average user throughput under microscopic
@@ -41,43 +36,13 @@ func Fig11(sc Scale) Result {
 }
 
 func fig11Cell(sc Scale, ton, toff sim.Time) float64 {
-	eng := sc.attach(sim.New(sc.Seed))
-	const label = 100_000 // 100 kbps fair share
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	s := core.NewSystem(d.Net, core.DefaultConfig())
-	d.Deploy(s, defense.Policy{})
-
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
-	receivers := make([]*transport.TCPReceiver, len(legit))
-	for i, h := range legit {
-		flow := d.Net.NextFlow()
-		receivers[i] = transport.NewTCPReceiver(d.Victim.Host, flow)
-		transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-	}
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		transport.NewUDPSink(col.Host, flow)
-		u := transport.NewUDPSource(a.Host, col.ID, flow, 1_000_000, packet.SizeData)
-		u.OnTime = ton
-		u.OffTime = toff
-		u.Start() // all sources share phase: synchronized bursts
-	}
-
-	eng.RunUntil(sc.Warmup)
-	marks := make([]int64, len(receivers))
-	for i, r := range receivers {
-		marks[i] = r.DeliveredBytes()
-	}
-	eng.RunUntil(sc.Duration)
-	window := (sc.Duration - sc.Warmup).Seconds()
-	rates := make([]float64, len(receivers))
-	for i, r := range receivers {
-		rates[i] = float64(r.DeliveredBytes()-marks[i]) * 8 / window
-	}
-	mean, _ := metrics.MeanStd(rates)
-	return mean
+	users, attackers := splitSenders(sc.Senders, quarterUsers)
+	return sc.run(netfence.Scenario{
+		Topology: sc.dumbbell(100_000), // 100 kbps fair share
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: users},
+			// All sources share phase: synchronized bursts.
+			netfence.OnOffFlood{Senders: attackers, RateBps: 1_000_000, On: ton, Off: toff, ToColluders: true},
+		},
+	}).UserBps
 }

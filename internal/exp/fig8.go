@@ -3,15 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"netfence"
 	"netfence/internal/attack"
 	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
 )
 
 // Fig8 regenerates Figure 8: the average transfer time of a 20 KB file
@@ -34,10 +28,10 @@ func Fig8(sc Scale) Result {
 			res.AddRow(
 				fmt.Sprintf("%dK", label/1000),
 				string(kind),
-				fmt.Sprintf("%.2f", fct.Mean().Seconds()),
-				fmt.Sprintf("%.2f", fct.Percentile(95).Seconds()),
-				fmt.Sprintf("%.0f%%", 100*fct.CompletionRatio()),
-				fmt.Sprintf("%d", fct.Count()+fct.Failed()),
+				fmt.Sprintf("%.2f", fct.MeanSec),
+				fmt.Sprintf("%.2f", fct.P95Sec),
+				fmt.Sprintf("%.0f%%", 100*fct.Completion),
+				fmt.Sprintf("%d", fct.Count+fct.Failed),
 			)
 		}
 	}
@@ -53,69 +47,25 @@ func StrategicRequestLevel(attackers int, bottleneckBps int64, cfg core.Config) 
 	return attack.StrategicRequestLevel(attackers, bottleneckBps, cfg)
 }
 
-// fig8Roles splits a dumbbell's senders: the first host of each source
-// AS is the legitimate user (the paper's one-user-per-AS stress setup).
-func fig8Roles(d *topo.Dumbbell, hostsPerAS int) (legit, attackers []*netsim.Node) {
-	for i, h := range d.Senders {
-		if i%hostsPerAS == 0 {
-			legit = append(legit, h)
-		} else {
-			attackers = append(attackers, h)
-		}
+// fig8Cell runs one (label, system) cell: the first host of each source
+// AS is the legitimate user (the paper's one-user-per-AS stress setup),
+// and the victim denies every other sender.
+func fig8Cell(sc Scale, label int, kind SystemKind) netfence.FCTSummary {
+	users, attackers := splitSenders(sc.Senders, func(int) int { return 1 })
+	var flood netfence.Workload
+	switch kind {
+	case SysNetFence:
+		flood = netfence.RequestFlood{Senders: attackers, Strategic: true}
+	case SysTVA:
+		// TVA+'s request channel has no priority levels; flood flat.
+		flood = netfence.RequestFlood{Senders: attackers}
+	default:
+		flood = netfence.UDPFlood{Senders: attackers}
 	}
-	return legit, attackers
-}
-
-func fig8Cell(sc Scale, label int, kind SystemKind) *metrics.FCT {
-	eng := sc.attach(sim.New(sc.Seed))
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	s := buildSystem(kind, d.Net, nfCfg)
-
-	legit, attackers := fig8Roles(d, cfg.HostsPerAS)
-	denySet := make(map[packet.NodeID]bool, len(attackers))
-	for _, a := range attackers {
-		denySet[a.ID] = true
-	}
-	d.Deploy(s, defense.Policy{Deny: func(src packet.NodeID) bool {
-		return denySet[src]
-	}})
-	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
-		if p.Proto != packet.ProtoTCP {
-			return nil
-		}
-		return transport.NewTCPReceiver(d.Victim.Host, p.Flow)
-	}
-
-	fct := &metrics.FCT{}
-	clients := make([]*transport.FileClient, 0, len(legit))
-	for _, h := range legit {
-		c := transport.NewFileClient(h.Host, d.Victim.ID, 20_000, transport.DefaultTCP())
-		c.OnResult = func(d sim.Time, ok bool) { fct.Add(d, ok) }
-		clients = append(clients, c)
-		c.Start()
-	}
-
-	const atkRate = 1_000_000
-	level := StrategicRequestLevel(len(attackers), bottleneck, nfCfg)
-	for i, a := range attackers {
-		flow := packet.FlowID(1_000_000 + i)
-		switch kind {
-		case SysNetFence:
-			transport.NewRequestFlooder(a.Host, d.Victim.ID, flow, atkRate, level).Start()
-		case SysTVA:
-			// TVA+'s request channel has no priority levels; flood flat.
-			transport.NewRequestFlooder(a.Host, d.Victim.ID, flow, atkRate, 0).Start()
-		default:
-			transport.NewUDPSource(a.Host, d.Victim.ID, flow, atkRate, packet.SizeData).Start()
-		}
-	}
-
-	eng.RunUntil(sc.Duration)
-	for _, c := range clients {
-		c.Stop()
-	}
-	return fct
+	return sc.run(netfence.Scenario{
+		Topology:      netfence.DumbbellSpec{Senders: sc.Senders, BottleneckBps: sc.BottleneckBps(label)},
+		Defense:       netfence.Defense(string(kind)),
+		DenyAttackers: true,
+		Workloads:     []netfence.Workload{netfence.FileTransfers{Senders: users}, flood},
+	}).FCT
 }

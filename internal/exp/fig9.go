@@ -3,14 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
 
 // Fig9 regenerates Figure 9: the throughput ratio between legitimate
@@ -58,16 +51,13 @@ type fig9Out struct {
 	util             float64
 }
 
-// fig9Roles splits each AS 25% legitimate / 75% attackers.
-func fig9Roles(d *topo.Dumbbell, hostsPerAS int) (legit, attackers []*netsim.Node) {
-	for i, h := range d.Senders {
-		if i%hostsPerAS < (hostsPerAS+3)/4 {
-			legit = append(legit, h)
-		} else {
-			attackers = append(attackers, h)
-		}
+// fig9Of reads a collusion cell's row values from its result.
+func fig9Of(res *netfence.Result) fig9Out {
+	return fig9Out{
+		ratio: res.Ratio, jain: res.Jain,
+		legitBps: res.UserBps, atkBps: res.AttackerBps,
+		util: res.Utilization,
 	}
-	return legit, attackers
 }
 
 func fig9Cell(sc Scale, label int, kind SystemKind, web bool) fig9Out {
@@ -76,94 +66,18 @@ func fig9Cell(sc Scale, label int, kind SystemKind, web bool) fig9Out {
 
 // fig9CellDeploy is fig9Cell at a partial deployment: only deployFrac of
 // the source ASes run the defense; the rest pass traffic undefended.
-// The incremental-deployment experiment sweeps this knob.
+// The incremental-deployment experiment sweeps this knob. Colluding
+// receivers do not identify attack traffic, so nobody is denied.
 func fig9CellDeploy(sc Scale, label int, kind SystemKind, web bool, deployFrac float64) fig9Out {
-	eng := sc.attach(sim.New(sc.Seed))
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	s := buildSystem(kind, d.Net, core.DefaultConfig())
-	// Colluding receivers do not identify attack traffic: no Deny.
-	d.DeployPlan(s, defense.Policy{}, topo.PlanFraction(d.G.SourceASes(), deployFrac))
-
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
-
-	// Per-sender delivered byte counters at the victim, attributed by
-	// source address so web workloads (many flows per sender) aggregate.
-	delivered := make(map[packet.NodeID]*int64, len(legit))
-	for _, h := range legit {
-		delivered[h.ID] = new(int64)
+	users, attackers := splitSenders(sc.Senders, quarterUsers)
+	var legit netfence.Workload = netfence.LongTCP{Senders: users}
+	if web {
+		legit = netfence.WebTraffic{Senders: users}
 	}
-	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
-		if p.Proto != packet.ProtoTCP {
-			return nil
-		}
-		r := transport.NewTCPReceiver(d.Victim.Host, p.Flow)
-		ctr := delivered[p.Src]
-		if ctr != nil {
-			r.OnDeliver = func(b int) { *ctr += int64(b) }
-		}
-		return r
-	}
-
-	var stoppers []interface{ Stop() }
-	for _, h := range legit {
-		if web {
-			w := transport.NewWebSource(h.Host, d.Victim.ID, transport.DefaultWeb())
-			w.Start()
-			stoppers = append(stoppers, w)
-		} else {
-			flow := d.Net.NextFlow()
-			r := transport.NewTCPReceiver(d.Victim.Host, flow)
-			ctr := delivered[h.ID]
-			r.OnDeliver = func(b int) { *ctr += int64(b) }
-			snd := transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP())
-			snd.Start()
-		}
-	}
-	sinks := make([]*transport.UDPSink, len(attackers))
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		sinks[i] = transport.NewUDPSink(col.Host, flow)
-		transport.NewUDPSource(a.Host, col.ID, flow, 1_000_000, packet.SizeData).Start()
-	}
-
-	eng.RunUntil(sc.Warmup)
-	legitMark := make([]int64, len(legit))
-	for i, h := range legit {
-		legitMark[i] = *delivered[h.ID]
-	}
-	atkMark := make([]uint64, len(sinks))
-	for i, s := range sinks {
-		atkMark[i] = s.Bytes
-	}
-	txMark := d.Bottleneck.TxBytes
-
-	eng.RunUntil(sc.Duration)
-	for _, st := range stoppers {
-		st.Stop()
-	}
-	window := (sc.Duration - sc.Warmup).Seconds()
-	legitRates := make([]float64, len(legit))
-	for i, h := range legit {
-		legitRates[i] = float64(*delivered[h.ID]-legitMark[i]) * 8 / window
-	}
-	atkRates := make([]float64, len(sinks))
-	for i, s := range sinks {
-		atkRates[i] = float64(s.Bytes-atkMark[i]) * 8 / window
-	}
-	legitMean, _ := metrics.MeanStd(legitRates)
-	atkMean, _ := metrics.MeanStd(atkRates)
-	out := fig9Out{
-		legitBps: legitMean,
-		atkBps:   atkMean,
-		jain:     metrics.Jain(legitRates),
-		util:     d.Bottleneck.Utilization(txMark, sc.Duration-sc.Warmup),
-	}
-	if atkMean > 0 {
-		out.ratio = legitMean / atkMean
-	}
-	return out
+	return fig9Of(sc.run(netfence.Scenario{
+		Topology:   sc.dumbbell(label),
+		Defense:    netfence.Defense(string(kind)),
+		Deployment: netfence.DeployFraction(deployFrac),
+		Workloads:  []netfence.Workload{legit, netfence.ColluderPairs{Senders: attackers, RateBps: 1_000_000}},
+	}))
 }

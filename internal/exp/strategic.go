@@ -3,14 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"netfence"
 	"netfence/internal/attack"
 	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
 )
 
 // strategicLineup is the §6.3 adaptive-adversary lineup: every in-tree
@@ -65,79 +60,19 @@ func Strategic(sc Scale) Result {
 // parameters (nil = the hand-written defaults) — the worst-case
 // search's evaluation surface.
 func strategicCell(sc Scale, label int, kind SystemKind, stratName string, params map[string]float64) fig9Out {
-	eng := sc.attach(sim.New(sc.Seed))
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	s := buildSystem(kind, d.Net, nfCfg)
-	// Colluding receivers do not identify attack traffic: no Deny.
-	d.Deploy(s, defense.Policy{})
+	return fig9Of(sc.run(strategicScenario(sc, label, kind, stratName, params)))
+}
 
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
-
-	delivered := make(map[packet.NodeID]*int64, len(legit))
-	for _, h := range legit {
-		delivered[h.ID] = new(int64)
+// strategicScenario declares a strategicCell, for batches run together.
+func strategicScenario(sc Scale, label int, kind SystemKind, stratName string, params map[string]float64) netfence.Scenario {
+	users, attackers := splitSenders(sc.Senders, quarterUsers)
+	return netfence.Scenario{
+		Topology: sc.dumbbell(label),
+		Defense:  netfence.Defense(string(kind)),
+		// Colluding receivers do not identify attack traffic: no Deny.
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: users},
+			netfence.AttackSpec{Strategy: stratName, Params: params, Senders: attackers, RateBps: 1_000_000, ToColluders: true},
+		},
 	}
-	for _, h := range legit {
-		flow := d.Net.NextFlow()
-		r := transport.NewTCPReceiver(d.Victim.Host, flow)
-		ctr := delivered[h.ID]
-		r.OnDeliver = func(b int) { *ctr += int64(b) }
-		transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-	}
-
-	env := &attack.Env{Eng: eng, Attackers: len(attackers), BottleneckBps: bottleneck, Config: nfCfg}
-	strat, err := attack.Build(stratName, attack.BuildOptions{RateBps: 1_000_000, Env: env, Params: params})
-	if err != nil {
-		// The lineup is fixed in-tree; an unknown name is a programmer
-		// error, not a runtime condition.
-		panic(err)
-	}
-	ctrl := attack.NewController(strat, env)
-	sinks := make([]*transport.UDPSink, len(attackers))
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		sinks[i] = transport.NewUDPSink(col.Host, flow)
-		ctrl.AddSender(a.Host, col.ID, flow)
-	}
-	ctrl.Start()
-
-	eng.RunUntil(sc.Warmup)
-	legitMark := make([]int64, len(legit))
-	for i, h := range legit {
-		legitMark[i] = *delivered[h.ID]
-	}
-	atkMark := make([]uint64, len(sinks))
-	for i, s := range sinks {
-		atkMark[i] = s.Bytes
-	}
-	txMark := d.Bottleneck.TxBytes
-
-	eng.RunUntil(sc.Duration)
-	ctrl.Stop()
-	window := (sc.Duration - sc.Warmup).Seconds()
-	legitRates := make([]float64, len(legit))
-	for i, h := range legit {
-		legitRates[i] = float64(*delivered[h.ID]-legitMark[i]) * 8 / window
-	}
-	atkRates := make([]float64, len(sinks))
-	for i, s := range sinks {
-		atkRates[i] = float64(s.Bytes-atkMark[i]) * 8 / window
-	}
-	legitMean, _ := metrics.MeanStd(legitRates)
-	atkMean, _ := metrics.MeanStd(atkRates)
-	out := fig9Out{
-		legitBps: legitMean,
-		atkBps:   atkMean,
-		jain:     metrics.Jain(legitRates),
-		util:     d.Bottleneck.Utilization(txMark, sc.Duration-sc.Warmup),
-	}
-	if atkMean > 0 {
-		out.ratio = legitMean / atkMean
-	}
-	return out
 }

@@ -4,14 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"netfence"
 	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
 	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
 )
 
 // Theorem empirically checks the §3.4/Appendix A fair-share guarantee.
@@ -73,69 +68,40 @@ type theoremOut struct {
 }
 
 func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
-	eng := sc.attach(sim.New(sc.Seed))
 	const label = 100_000
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	s := core.NewSystem(d.Net, core.DefaultConfig())
-	d.Deploy(s, defense.Policy{})
-
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
+	users, attackers := splitSenders(sc.Senders, quarterUsers)
 	// The first two legitimate senders are greedy constant-rate probes:
 	// senders with provably sufficient demand in every control interval,
 	// whose rate limits carry the Appendix A bound check. The rest run
 	// long TCP for the throughput/nu columns.
-	nProbes := 2
-	if nProbes > len(legit)-1 {
-		nProbes = len(legit) - 1
+	nProbes := min(2, len(users)-1)
+	probes, users := users[:nProbes], users[nProbes:]
+	var atk netfence.Workload = netfence.ColluderPairs{Senders: attackers, RateBps: 1_000_000}
+	if ton > 0 {
+		atk = netfence.OnOffFlood{Senders: attackers, RateBps: 1_000_000, On: ton, Off: toff, ToColluders: true}
 	}
-	probes := legit[:nProbes]
-	legit = legit[nProbes:]
-	for i, h := range probes {
-		flow := packet.FlowID(4_000_000 + i)
-		transport.NewUDPSink(d.Victim.Host, flow)
-		transport.NewUDPSource(h.Host, d.Victim.ID, flow, 1_000_000, packet.SizeData).Start()
-	}
-	receivers := make([]*transport.TCPReceiver, len(legit))
-	for i, h := range legit {
-		flow := d.Net.NextFlow()
-		receivers[i] = transport.NewTCPReceiver(d.Victim.Host, flow)
-		transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-	}
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		transport.NewUDPSink(col.Host, flow)
-		u := transport.NewUDPSource(a.Host, col.ID, flow, 1_000_000, packet.SizeData)
-		u.OnTime, u.OffTime = ton, toff
-		u.Start()
-	}
-
-	eng.RunUntil(sc.Warmup)
-	marks := make([]int64, len(receivers))
-	for i, r := range receivers {
-		marks[i] = r.DeliveredBytes()
-	}
-	eng.RunUntil(sc.Duration)
-	window := (sc.Duration - sc.Warmup).Seconds()
-	rates := make([]float64, len(receivers))
-	for i, r := range receivers {
-		rates[i] = float64(r.DeliveredBytes()-marks[i]) * 8 / window
-	}
-	out := theoremOut{fair: float64(bottleneck) / float64(sc.Senders)}
+	in := sc.build(netfence.Scenario{
+		Topology: sc.dumbbell(label),
+		Workloads: []netfence.Workload{
+			netfence.UDPFlood{Senders: probes, RateBps: 1_000_000},
+			netfence.LongTCP{Senders: users},
+			atk,
+		},
+	})
+	res := in.Run()
+	out := theoremOut{fair: float64(sc.BottleneckBps(label)) / float64(sc.Senders)}
 	out.minUser = math.Inf(1)
-	for _, r := range rates {
+	for _, r := range res.UserRates {
 		out.minUser = math.Min(out.minUser, r)
 	}
-	out.meanUser, _ = metrics.MeanStd(rates)
-	// Rate limits: users for the nu estimate, greedy senders (the
-	// attackers, who always have sufficient demand) for the bound check.
-	limitOf := func(h *netsim.Node) (float64, bool) {
+	out.meanUser = res.UserBps
+	// Rate limits: users for the nu estimate, greedy probes for the
+	// bound check.
+	s, d := in.System.(*core.System), in.Dumbbell
+	limitOf := func(idx int) (float64, bool) {
 		for _, ra := range d.SrcAccess {
 			if ar := s.Access(ra); ar != nil {
-				if lim := ar.Limiter(h.ID, d.Bottleneck.ID); lim != nil {
+				if lim := ar.Limiter(d.Senders[idx].ID, d.Bottleneck.ID); lim != nil {
 					return float64(lim.Rate()), true
 				}
 			}
@@ -144,8 +110,8 @@ func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
 	}
 	var sum float64
 	n := 0
-	for _, h := range legit {
-		if v, ok := limitOf(h); ok {
+	for _, idx := range users {
+		if v, ok := limitOf(idx); ok {
 			sum += v
 			n++
 		}
@@ -155,8 +121,8 @@ func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
 	}
 	out.minGreedyLimit = math.Inf(1)
 	found := false
-	for _, h := range probes {
-		if v, ok := limitOf(h); ok {
+	for _, idx := range probes {
+		if v, ok := limitOf(idx); ok {
 			out.minGreedyLimit = math.Min(out.minGreedyLimit, v)
 			found = true
 		}
@@ -164,6 +130,5 @@ func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
 	if !found {
 		out.minGreedyLimit = 0
 	}
-	_ = attackers
 	return out
 }

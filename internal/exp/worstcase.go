@@ -3,9 +3,8 @@ package exp
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"sync"
 
+	"netfence"
 	"netfence/internal/attack"
 	"netfence/internal/core"
 	"netfence/internal/search"
@@ -44,10 +43,14 @@ func WorstCase(sc Scale) Result {
 	}
 	for _, kind := range sc.Compared() {
 		// The hand-written baseline: every lineup strategy at defaults.
-		handRates := make([]float64, len(strategicLineup))
-		runBatch(len(strategicLineup), func(i int) {
-			handRates[i] = strategicCell(sc, label, kind, strategicLineup[i], nil).legitBps
-		})
+		hand := make([]netfence.Scenario, len(strategicLineup))
+		for i, strat := range strategicLineup {
+			hand[i] = strategicScenario(sc, label, kind, strat, nil)
+		}
+		handRates := make([]float64, len(hand))
+		for i, res := range sc.runAll(hand) {
+			handRates[i] = res.UserBps
+		}
 		handWorst := 0
 		for i := 1; i < len(handRates); i++ {
 			if handRates[i] < handRates[handWorst] {
@@ -64,11 +67,14 @@ func WorstCase(sc Scale) Result {
 			}
 			opt, _ := search.New("anneal")
 			eval := func(batch []search.Vec) ([]float64, error) {
+				cells := make([]netfence.Scenario, len(batch))
+				for i, v := range batch {
+					cells[i] = strategicScenario(sc, label, kind, strat, v.Params(dims))
+				}
 				damages := make([]float64, len(batch))
-				runBatch(len(batch), func(i int) {
-					p := batch[i].Params(dims)
-					damages[i] = -strategicCell(sc, label, kind, strat, p).legitBps
-				})
+				for i, res := range sc.runAll(cells) {
+					damages[i] = -res.UserBps
+				}
 				return damages, nil
 			}
 			best, trace, err := opt.Run(dims, worstcaseBudget, worstcaseSeed(sc.Seed, kind, strat), eval)
@@ -108,35 +114,4 @@ func worstcaseSeed(seed uint64, kind SystemKind, strat string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%s", kind, strat)
 	return seed ^ h.Sum64()
-}
-
-// runBatch fans n independent jobs across bounded workers; fn slots
-// its own results by index, so completion order never shows.
-func runBatch(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }

@@ -26,6 +26,16 @@ type Config struct {
 	QueueDepth int
 }
 
+// HTTP connection deadlines. A client that never finishes its request
+// headers is dropped after readHeaderTimeout, and an idle keep-alive
+// connection after idleTimeout. There is no read or write deadline on
+// whole requests, because SSE event streams stay open for a job's
+// lifetime.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // Server is the simulation service: a bounded job queue over the
 // scenario and sweep engines with an HTTP control surface.
 type Server struct {
@@ -64,7 +74,11 @@ func New(cfg Config) *Server {
 		runCtx:  ctx,
 		runStop: stop,
 	}
-	s.http = &http.Server{Handler: s.routes()}
+	s.http = &http.Server{
+		Handler:           s.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -752,5 +753,34 @@ func TestSampleEventCounters(t *testing.T) {
 		if summed[k] != finalRes.Counters[k] {
 			t.Errorf("streamed deltas for %s sum to %d, final snapshot has %d", k, summed[k], finalRes.Counters[k])
 		}
+	}
+}
+
+// TestStalledHeadersDisconnected holds the header deadline: a client
+// that never finishes its request headers is disconnected after
+// readHeaderTimeout instead of holding its connection forever.
+func TestStalledHeadersDisconnected(t *testing.T) {
+	t.Parallel()
+	s := startServer(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request line and one header, but never the blank line that ends
+	// the header block.
+	if _, err := io.WriteString(conn, "GET /jobs HTTP/1.1\r\nHost: netfence\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after stalled headers", time.Since(start).Round(time.Second))
 	}
 }

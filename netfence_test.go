@@ -1,7 +1,6 @@
 package netfence_test
 
 import (
-	"strings"
 	"testing"
 
 	"netfence"
@@ -36,30 +35,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if atk > 300_000 {
 		t.Fatalf("attacker throughput %.0f bps above fair share band", atk)
-	}
-}
-
-func TestFacadeExperimentRegistry(t *testing.T) {
-	exps := netfence.Experiments()
-	for _, name := range []string{"fig7", "fig8", "fig9a", "fig9b", "fig10",
-		"fig11", "fig13", "fig14", "theorem", "localize", "header",
-		"ablate-hysteresis", "ablate-initrate", "ablate-bucket", "quota"} {
-		if _, ok := exps[name]; !ok {
-			t.Fatalf("experiment %q missing from registry", name)
-		}
-	}
-	if _, err := netfence.RunExperiment("nope", "tiny"); err == nil {
-		t.Fatal("bogus experiment accepted")
-	}
-	if _, err := netfence.RunExperiment("header", "bogus"); err == nil {
-		t.Fatal("bogus scale accepted")
-	}
-	out, err := netfence.RunExperiment("header", "tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "28") {
-		t.Fatalf("header experiment output missing worst-case size:\n%s", out)
 	}
 }
 
